@@ -39,6 +39,7 @@ from .matching import (
     FractionalMatching,
     Matching,
     VertexCover,
+    allocation_program,
     fractional_matching_number,
     fractional_matching_oracle,
     max_matching,
@@ -49,8 +50,6 @@ from .region import (
     HalfSpace,
     RegionHRep,
     capacity,
-    capacity_via_matching,
-    demand_from_allocation,
     integral_membership,
     membership,
     project_region,
@@ -87,6 +86,7 @@ __all__ = [
     "Matching",
     "FractionalMatching",
     "VertexCover",
+    "allocation_program",
     "max_matching",
     "fractional_matching_number",
     "fractional_matching_oracle",
@@ -96,8 +96,6 @@ __all__ = [
     "RegionHRep",
     "membership",
     "capacity",
-    "capacity_via_matching",
-    "demand_from_allocation",
     "integral_membership",
     "project_region",
     "BatchVerdict",

@@ -92,11 +92,10 @@ def _graph_summary(graph: graphrep.ServiceGraph) -> dict:
 
 def _bounds_payload(graph: graphrep.ServiceGraph) -> dict:
     m = matching.max_matching(graph).size
-    mf, _ = matching.fractional_matching_number(graph)
     v = matching.min_vertex_cover(graph).size
     return {
         "matching": _fmt(Fraction(m)),
-        "fractional_matching": _fmt(mf),
+        "fractional_matching": _fmt(matching.fractional_matching_oracle(graph)),
         "vertex_cover": _fmt(Fraction(v)),
     }
 
@@ -146,6 +145,10 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
+    if args.integral and args.mu is not None:
+        raise ValueError(
+            "--mu cannot be combined with --integral: integral membership is unit-capacity only"
+        )
     catalog = _load_catalog(args)
     lam = _parse_csv_rationals(args.lam, "--lambda")
     if args.integral:

@@ -94,6 +94,8 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid code JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("invalid code JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError('code JSON must be an object {"q": ..., "matrix": ...}')
     missing = {"q", "matrix"} - data.keys()
@@ -120,9 +122,6 @@ class RecoverySet:
     @property
     def size(self) -> int:
         return len(self.servers)
-
-    def coefficient_for(self, server: int) -> FieldElement:
-        return self.coefficients[self.servers.index(server)]
 
     def evaluate(self, matrix: GeneratorMatrix) -> tuple[FieldElement, ...]:
         """Recompute the linear combination; equals e_file by construction."""

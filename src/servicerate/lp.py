@@ -229,12 +229,6 @@ def solve_max(program: LinearProgram) -> LPOutcome:
     """Maximize the objective; exact, deterministic, vertex-valued."""
     if not _bounds_consistent(program):
         return LPOutcome("infeasible")
-    if program.num_vars == 0:
-        ok = all(
-            (rel == LE and rhs >= 0) or (rel == GE and rhs <= 0) or (rel == EQ and rhs == 0)
-            for _, rel, rhs in program.rows
-        )
-        return LPOutcome("optimal", Fraction(0), ()) if ok else LPOutcome("infeasible")
     tab = _Tableau(program)
     if not tab.phase1():
         return LPOutcome("infeasible")
@@ -250,12 +244,6 @@ def feasible(program: LinearProgram) -> Optional[tuple[Fraction, ...]]:
     """A feasible point (a vertex), or None if the constraints are empty."""
     if not _bounds_consistent(program):
         return None
-    if program.num_vars == 0:
-        ok = all(
-            (rel == LE and rhs >= 0) or (rel == GE and rhs <= 0) or (rel == EQ and rhs == 0)
-            for _, rel, rhs in program.rows
-        )
-        return () if ok else None
     tab = _Tableau(program)
     if not tab.phase1():
         return None

@@ -1,10 +1,15 @@
-"""Matchings and vertex covers on service graphs.
+"""Matchings, vertex covers and the allocation polytope on service graphs.
+
+`allocation_program` is the one builder of the allocation polytope: one
+variable per edge (= per recovery set), one capacity row per server. Its
+total-weight maximum is the service capacity, and under unit capacities it
+is the fractional matching LP, so capacity = m_f holds by construction.
+The fractional matching number is computed two independent ways: as that
+exact LP, and as half the matching number of the bipartite double cover.
 
 Maximum matching uses the blossom (odd-cycle contraction) augmenting-path
-method, so non-bipartite graphs are exact. The fractional matching number is
-computed two independent ways: as an exact LP over the edges, and as half
-the matching number of the bipartite double cover. Minimum vertex cover uses
-the alternating-reachability construction on bipartite graphs and an exact
+method, so non-bipartite graphs are exact. Minimum vertex cover uses the
+alternating-reachability construction on bipartite graphs and an exact
 branch-and-bound elsewhere, guarded by a size cap.
 """
 
@@ -16,12 +21,13 @@ from typing import Optional, Sequence
 
 from .errors import GuardError
 from .graphrep import ServiceGraph, is_bipartite
-from .lp import LE, LinearProgram, solve_max
+from .lp import EQ, LE, LinearProgram, solve_max
 
 __all__ = [
     "Matching",
     "FractionalMatching",
     "VertexCover",
+    "allocation_program",
     "max_matching",
     "fractional_matching_number",
     "fractional_matching_oracle",
@@ -206,28 +212,36 @@ def max_matching(graph: ServiceGraph) -> Matching:
     return Matching(tuple(sorted(chosen)))
 
 
+def allocation_program(
+    graph: ServiceGraph,
+    lam: Optional[Sequence[Fraction]] = None,
+) -> LinearProgram:
+    """The allocation polytope: one variable per edge, in flat catalog order,
+    and one `<= capacity` row per server 1..n_real (a dummy's lone edge is
+    already capped by its server). With lam, one `= lam_i` row per color and
+    no objective; without it, the objective is the total edge weight."""
+    m = graph.edge_count
+    prog = LinearProgram(m, () if lam is not None else [1] * m)
+    for vid in range(1, graph.n_real + 1):
+        coeffs = [0] * m
+        for i in graph.incident_edges(vid):
+            coeffs[i] = 1
+        prog.add_constraint(coeffs, LE, graph.vertex(vid).capacity)
+    if lam is not None:
+        for f, demand in enumerate(lam, start=1):
+            prog.add_constraint([int(e.file == f) for e in graph.edges], EQ, demand)
+    return prog
+
+
 def fractional_matching_number(
     graph: ServiceGraph,
 ) -> tuple[Fraction, FractionalMatching]:
-    """Exact LP route: max total edge weight under unit vertex budgets."""
+    """Exact LP route: the capacity program under unit vertex budgets."""
     if not graph.has_unit_capacities():
         raise ValueError("fractional matching requires unit capacities")
-    m = graph.edge_count
-    prog = LinearProgram(m, objective=[1] * m)
-    for vid in graph.vertex_ids():
-        incident = graph.incident_edges(vid)
-        if not incident:
-            continue
-        coeffs = [0] * m
-        for i in incident:
-            coeffs[i] = 1
-        prog.add_constraint(coeffs, LE, 1)
-    for j in range(m):
-        prog.set_upper_bound(j, 1)
-    out = solve_max(prog)
+    out = solve_max(allocation_program(graph))
     assert out.status == "optimal"  # always feasible (0) and bounded
-    fm = FractionalMatching(tuple(out.assignment))
-    return out.value, fm
+    return out.value, FractionalMatching(out.assignment)
 
 
 def fractional_matching_oracle(graph: ServiceGraph) -> Fraction:

@@ -3,9 +3,11 @@
 A demand vector (lambda_1..lambda_k) is in the region when the requests for
 each file can be split across that file's recovery sets without exceeding
 any server's capacity. Everything here is exact: membership and capacity are
-rational LPs, the integral region is a backtracking search over 0/1
-assignments, and the projection onto demand space is Fourier-Motzkin
-elimination with LP-based redundancy pruning.
+rational LPs over `matching.allocation_program` on the service graph (which
+also validates mu, through `build_graph`), the integral region is a
+backtracking search over 0/1 assignments, and the projection onto demand
+space is Fourier-Motzkin elimination of that program's edge variables, with
+LP-based redundancy pruning.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .codes import RecoverySetCatalog
 from .errors import GuardError
 from .graphrep import build_graph
-from .lp import EQ, LE, LinearProgram, feasible, solve_max
-from .matching import fractional_matching_number
+from .lp import LE, LinearProgram, feasible, solve_max
+from .matching import allocation_program
 
 __all__ = [
     "Allocation",
@@ -29,8 +31,6 @@ __all__ = [
     "as_demand",
     "membership",
     "capacity",
-    "capacity_via_matching",
-    "demand_from_allocation",
     "integral_membership",
     "project_region",
     "PROJECTION_K_CAP",
@@ -80,66 +80,15 @@ class Allocation:
         return tuple(sum(row, Fraction(0)) for row in self.per_file)
 
 
-def demand_from_allocation(allocation: Allocation) -> DemandVector:
-    """Row sums: the demand vector an allocation serves."""
-    return allocation.demand()
-
-
-def _mu_vector(catalog: RecoverySetCatalog, mu: Optional[Sequence]) -> list[Fraction]:
-    n = catalog.n
-    if mu is None:
-        return [Fraction(1)] * n
-    if len(mu) != n:
-        raise ValueError(f"capacity vector has length {len(mu)}, expected {n}")
-    caps = [Fraction(m) for m in mu]
-    if any(c < 0 for c in caps):
-        raise ValueError("capacities must be nonnegative")
-    return caps
-
-
-def _server_rows(catalog: RecoverySetCatalog) -> list[list[int]]:
-    """For each server, the flat indices of the recovery sets using it."""
-    rows: list[list[int]] = [[] for _ in range(catalog.n)]
-    for idx, rs in enumerate(catalog.flat()):
-        for s in rs.servers:
-            rows[s - 1].append(idx)
-    return rows
-
-
-def _allocation_program(
-    catalog: RecoverySetCatalog,
-    mu: Sequence[Fraction],
-    lam: Optional[DemandVector],
-    maximize_total: bool,
-) -> LinearProgram:
-    nvars = catalog.total_sets
-    objective = [1] * nvars if maximize_total else ()
-    prog = LinearProgram(nvars, objective)
-    for l, members in enumerate(_server_rows(catalog)):
-        coeffs = [0] * nvars
-        for idx in members:
-            coeffs[idx] = 1
-        prog.add_constraint(coeffs, LE, mu[l])
-    if lam is not None:
-        pos = 0
-        for count, demand in zip(catalog.counts, lam):
-            coeffs = [0] * nvars
-            for idx in range(pos, pos + count):
-                coeffs[idx] = 1
-            prog.add_constraint(coeffs, EQ, demand)
-            pos += count
-    return prog
-
-
 def membership(
     catalog: RecoverySetCatalog,
     lam: Sequence,
     mu: Optional[Sequence] = None,
 ) -> Optional[Allocation]:
     """A witness allocation serving lam exactly, or None when infeasible."""
-    caps = _mu_vector(catalog, mu)
+    graph = build_graph(catalog, mu)
     demand = as_demand(lam, catalog.k)
-    point = feasible(_allocation_program(catalog, caps, demand, False))
+    point = feasible(allocation_program(graph, demand))
     if point is None:
         return None
     return Allocation.from_flat(catalog, point)
@@ -150,25 +99,10 @@ def capacity(
     mu: Optional[Sequence] = None,
 ) -> tuple[Fraction, DemandVector, Allocation]:
     """Service capacity: the maximum total demand rate, plus a maximizer."""
-    caps = _mu_vector(catalog, mu)
-    out = solve_max(_allocation_program(catalog, caps, None, True))
+    out = solve_max(allocation_program(build_graph(catalog, mu)))
     assert out.status == "optimal"  # 0 is feasible and totals are capped
     allocation = Allocation.from_flat(catalog, out.assignment)
     return out.value, allocation.demand(), allocation
-
-
-def capacity_via_matching(
-    catalog: RecoverySetCatalog,
-    mu: Optional[Sequence] = None,
-) -> Fraction:
-    """Capacity through the graph: the fractional matching number. Only valid
-    under unit capacities, and refuses anything else."""
-    if mu is not None:
-        caps = _mu_vector(catalog, mu)
-        if any(c != 1 for c in caps):
-            raise ValueError("matching route requires unit capacities")
-    value, _ = fractional_matching_number(build_graph(catalog))
-    return value
 
 
 def integral_membership(
@@ -375,7 +309,7 @@ def project_region(
     k = catalog.k
     if k > k_limit:
         raise GuardError(f"projection limited to k <= {k_limit}, got k = {k}")
-    caps = _mu_vector(catalog, mu)
+    graph = build_graph(catalog, mu)
     nsets = catalog.total_sets
     nvars = k + nsets
     zero = Fraction(0)
@@ -395,11 +329,8 @@ def project_region(
         add(coeffs, zero)
         add([-c for c in coeffs], zero)
         pos += count
-    for l, members in enumerate(_server_rows(catalog)):
-        coeffs = [zero] * nvars
-        for idx in members:
-            coeffs[k + idx] = Fraction(1)
-        add(coeffs, caps[l])
+    for coeffs, _, cap in allocation_program(graph).rows:
+        add([zero] * k + coeffs, cap)
     # allocation nonnegativity is implicit in the elimination step
 
     for var in range(k, nvars):

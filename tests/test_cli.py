@@ -137,6 +137,16 @@ def test_member_integral_flag(simplex3_path):
     assert code == EXIT_USAGE and out == ""
 
 
+def test_member_integral_refuses_mu(simplex3_path):
+    # the integral route is unit-capacity only; --mu must not be dropped silently
+    code, out, err = run_cli(
+        ["member", "--code", simplex3_path, "--lambda", "1,1,1", "--integral",
+         "--mu", "0,0,0,0,0,0,0"]
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "--mu" in err and "--integral" in err
+
+
 def test_member_with_mu(identity2_path):
     code, doc, _ = run_json(
         ["member", "--code", identity2_path, "--lambda", "2,3", "--mu", "2,3"]
@@ -288,6 +298,20 @@ def test_usage_errors(simplex3_path, tmp_path):
 
     code, _, err = run_cli(["member", "--code", simplex3_path, "--lambda", "x,y,z"])
     assert code == EXIT_USAGE
+
+
+def test_deeply_nested_code_json(tmp_path):
+    depth = 100_000
+    text = '{"q": 2, "matrix": ' + "[" * depth + "]" * depth + "}"
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    for argv, stdin_text in (
+        (["capacity", "--code", str(deep)], ""),
+        (["capacity", "--code", "-"], text),
+    ):
+        code, out, err = run_cli(argv, stdin_text)
+        assert code == EXIT_USAGE and out == ""
+        assert "nested too deeply" in err
 
 
 def test_guard_exit_code(tmp_path):

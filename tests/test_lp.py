@@ -92,6 +92,22 @@ def test_zero_variables():
     p = LinearProgram(0, [])
     out = solve_max(p)
     assert out.status == "optimal" and out.value == 0
+    # rows over no variables read 0 rel rhs: constant truths or falsehoods
+    rows_ok = [(LE, 0), (LE, 1), (GE, 0), (GE, -1), (EQ, 0)]
+    rows_bad = [(LE, -1), (GE, 1), (EQ, 2)]
+    cases = [([r], True) for r in rows_ok] + [([r], False) for r in rows_bad]
+    cases += [(rows_ok, True), (rows_ok + rows_bad[:1], False), (rows_bad[2:] + rows_ok, False)]
+    for rows, ok in cases:
+        p = LinearProgram(0, [])
+        for rel, rhs in rows:
+            p.add_constraint([], rel, rhs)
+        out = solve_max(p)
+        if ok:
+            assert (out.status, out.value, out.assignment) == ("optimal", 0, ()), rows
+            assert feasible(p) == (), rows
+        else:
+            assert out.status == "infeasible", rows
+            assert feasible(p) is None, rows
 
 
 def test_redundant_equalities_handled():

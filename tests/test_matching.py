@@ -12,10 +12,12 @@ import support
 from servicerate.codes import enumerate_recovery_sets, simplex_code
 from servicerate.errors import GuardError
 from servicerate.graphrep import build_graph
+from servicerate.lp import EQ, LE
 from servicerate.matching import (
     COVER_SEARCH_CAP,
     FractionalMatching,
     Matching,
+    allocation_program,
     fractional_matching_number,
     fractional_matching_oracle,
     max_matching,
@@ -126,6 +128,27 @@ def test_cover_guard_on_large_nonbipartite():
     ladder = support.graph_from_pairs([(i, i + 50) for i in range(1, 51)])
     assert ladder.vertex_count == 100
     assert min_vertex_cover(ladder).size == 50
+
+
+def test_allocation_program_rows():
+    # one variable per recovery set in flat catalog order, one capacity row
+    # per server, then one demand row per file when a demand is given
+    cat = enumerate_recovery_sets(simplex_code(3))
+    graph = build_graph(cat, [2, 1, 1, 1, 1, 1, 1])
+    flat = cat.flat()
+    prog = allocation_program(graph)
+    assert prog.num_vars == len(flat) == graph.edge_count
+    assert prog.objective == [1] * len(flat)
+    assert [(rel, rhs) for _, rel, rhs in prog.rows] == [(LE, 2)] + [(LE, 1)] * 6
+    for server, (coeffs, _, _) in enumerate(prog.rows, start=1):
+        assert coeffs == [int(server in rs.servers) for rs in flat]
+
+    member = allocation_program(graph, (F(1), F(2), F(0)))
+    assert not any(member.objective)
+    assert member.rows[:7] == prog.rows
+    assert [(rel, rhs) for _, rel, rhs in member.rows[7:]] == [(EQ, 1), (EQ, 2), (EQ, 0)]
+    for file, (coeffs, _, _) in enumerate(member.rows[7:], start=1):
+        assert coeffs == [int(rs.file == file) for rs in flat]
 
 
 def test_fractional_matching_lp_route():

@@ -11,12 +11,12 @@ import support
 from servicerate.codes import GeneratorMatrix, enumerate_recovery_sets, simplex_code
 from servicerate.errors import GuardError
 from servicerate.gf import PrimeField
+from servicerate.graphrep import build_graph
+from servicerate.matching import fractional_matching_oracle
 from servicerate.region import (
     Allocation,
     as_demand,
     capacity,
-    capacity_via_matching,
-    demand_from_allocation,
     integral_membership,
     membership,
     project_region,
@@ -55,8 +55,7 @@ def test_allocation_round_trip():
     flat = [F(i, 4) for i in range(cat.total_sets)]
     alloc = Allocation.from_flat(cat, flat)
     assert alloc.flat() == tuple(flat)
-    lam = demand_from_allocation(alloc)
-    assert lam == alloc.demand()
+    lam = alloc.demand()
     assert lam[0] == sum(flat[:4])
 
 
@@ -109,7 +108,7 @@ def test_capacity_simplex_family():
         assert sum(maximizer) == value
         assert membership(cat, maximizer) is not None
         assert alloc.demand() == maximizer
-        assert capacity_via_matching(cat) == value
+        assert fractional_matching_oracle(build_graph(cat)) == value
 
 
 def test_capacity_triangle():
@@ -119,7 +118,7 @@ def test_capacity_triangle():
     value, maximizer, _ = capacity(cat)
     assert value == F(3, 2)
     assert sum(maximizer) == F(3, 2)
-    assert capacity_via_matching(cat) == F(3, 2)
+    assert fractional_matching_oracle(build_graph(cat)) == F(3, 2)
 
 
 def test_capacity_respects_mu():
@@ -127,14 +126,12 @@ def test_capacity_respects_mu():
     value, maximizer, _ = capacity(cat, [2, 3])
     assert value == F(5)
     assert maximizer == (F(2), F(3))
-    with pytest.raises(ValueError):
-        capacity_via_matching(cat, [2, 3])
 
 
 def test_capacity_equals_fractional_matching_on_corpus():
     for g in support.corpus(60):
         cat = _catalog(g)
-        assert capacity(cat)[0] == capacity_via_matching(cat)
+        assert capacity(cat)[0] == fractional_matching_oracle(build_graph(cat))
 
 
 def test_integral_membership_simplex3():
@@ -180,7 +177,7 @@ def test_integral_membership_matches_brute_force():
             want = support.brute_force_integral_member(cat, lam)
             assert (got is not None) == want, (g, lam)
             if got is not None:
-                assert demand_from_allocation(got) == tuple(F(x) for x in lam)
+                assert got.demand() == tuple(F(x) for x in lam)
 
 
 def test_integral_implies_fractional():
