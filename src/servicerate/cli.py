@@ -103,8 +103,8 @@ def _bounds_payload(graph: graphrep.ServiceGraph) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
     mu = _mu(args)
-    value, maximizer, allocation = region.capacity(catalog, mu)
     graph = graphrep.build_graph(catalog)  # bounds live on the unit graph
+    value, maximizer, allocation = region.capacity(catalog, mu, graph if mu is None else None)
     payload = {
         "code": _code_summary(catalog),
         "graph": _graph_summary(graph),

@@ -215,13 +215,21 @@ def max_matching(graph: ServiceGraph) -> Matching:
 def allocation_program(
     graph: ServiceGraph,
     lam: Optional[Sequence[Fraction]] = None,
+    weights: Optional[Sequence[Fraction]] = None,
 ) -> LinearProgram:
     """The allocation polytope: one variable per edge, in flat catalog order,
     and one `<= capacity` row per server 1..n_real (a dummy's lone edge is
     already capped by its server). With lam, one `= lam_i` row per color and
-    no objective; without it, the objective is the total edge weight."""
+    no objective; without it, the objective weighs each edge by its color's
+    entry of `weights`, all ones by default (the total edge weight)."""
     m = graph.edge_count
-    prog = LinearProgram(m, () if lam is not None else [1] * m)
+    if lam is not None:
+        objective: Sequence = ()
+    elif weights is None:
+        objective = [1] * m
+    else:
+        objective = [weights[e.file - 1] for e in graph.edges]
+    prog = LinearProgram(m, objective)
     for vid in range(1, graph.n_real + 1):
         coeffs = [0] * m
         for i in graph.incident_edges(vid):

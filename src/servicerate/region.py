@@ -6,21 +6,24 @@ any server's capacity. Everything here is exact: membership and capacity are
 rational LPs over `matching.allocation_program` on the service graph (which
 also validates mu, through `build_graph`), the integral region is a
 backtracking search over 0/1 assignments, and the projection onto demand
-space is Fourier-Motzkin elimination of that program's edge variables, with
-LP-based redundancy pruning.
+space is an exact convex hull built from the region's support function:
+h(c) = max c.lam is one LP on that program, weighing each edge by its
+file's entry of c. The hull is kept in integers over the points those LPs
+certify, and grows until the LP confirms each of its facets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .codes import RecoverySetCatalog
 from .errors import GuardError
-from .graphrep import build_graph
-from .lp import LE, LinearProgram, feasible, solve_max
+from .graphrep import ServiceGraph, build_graph
+from .lp import feasible, solve_max
 from .matching import allocation_program
 
 __all__ = [
@@ -39,9 +42,6 @@ __all__ = [
 DemandVector = tuple[Fraction, ...]
 
 PROJECTION_K_CAP = 3
-
-# prune intermediate FM systems once they grow past this many rows
-_PRUNE_THRESHOLD = 24
 
 
 def as_demand(values: Sequence[int | float | str | Fraction], k: int) -> DemandVector:
@@ -97,10 +97,15 @@ def membership(
 def capacity(
     catalog: RecoverySetCatalog,
     mu: Optional[Sequence] = None,
+    graph: Optional[ServiceGraph] = None,
 ) -> tuple[Fraction, DemandVector, Allocation]:
-    """Service capacity: the maximum total demand rate, plus a maximizer."""
-    out = solve_max(allocation_program(build_graph(catalog, mu)))
-    assert out.status == "optimal"  # 0 is feasible and totals are capped
+    """Service capacity: the maximum total demand rate, plus a maximizer.
+    A caller already holding build_graph(catalog, mu) passes it as graph."""
+    if graph is None:
+        graph = build_graph(catalog, mu)
+    out = solve_max(allocation_program(graph))
+    if out.status != "optimal":  # 0 is feasible and totals are capped
+        raise RuntimeError(f"capacity LP is {out.status}")
     allocation = Allocation.from_flat(catalog, out.assignment)
     return out.value, allocation.demand(), allocation
 
@@ -192,13 +197,11 @@ class RegionHRep:
 
 
 _Row = tuple[tuple[Fraction, ...], Fraction]
+_Point = tuple[int, ...]
 
 
-def _normalize_row(coeffs: Sequence[Fraction], rhs: Fraction) -> Optional[_Row]:
-    """Canonical integer form, or None when the row is trivially true."""
-    if not any(coeffs):
-        assert rhs >= 0  # a negative constant would mean an empty region
-        return None
+def _normalize_row(coeffs: Sequence[Fraction], rhs: Fraction) -> _Row:
+    """Canonical form: coprime integers, the same for every positive multiple."""
     denom = lcm(*(c.denominator for c in coeffs), rhs.denominator)
     ints = [int(c * denom) for c in coeffs]
     r = int(rhs * denom)
@@ -209,92 +212,104 @@ def _normalize_row(coeffs: Sequence[Fraction], rhs: Fraction) -> Optional[_Row]:
     return tuple(Fraction(v) for v in ints), Fraction(r)
 
 
-def _fm_eliminate(rows: list[_Row], var: int) -> list[_Row]:
-    """Eliminate one variable, with var >= 0 treated as an implicit row.
+def _unit(i: int, dim: int) -> _Point:
+    return tuple(int(i == j) for j in range(dim))
 
-    Every variable of the system is nonnegative, and the pruning step also
-    assumes that, so the sign bound must live here rather than as explicit
-    rows (those would be pruned as redundant and lost to later steps).
+
+def _dot(c: Sequence, x: Sequence):
+    return sum(a * b for a, b in zip(c, x))
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Integer determinant by cofactor expansion (at most 3 x 3 here)."""
+    if not rows:
+        return 1
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rest])
+        for j, a in enumerate(first)
+        if a
+    )
+
+
+def _rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        j = next(i for i, x in enumerate(pivot) if x)
+        rank += 1
+        rows = [[pivot[j] * x - r[j] * y for x, y in zip(r, pivot)] for r in rows]
+        rows = [r for r in rows if any(r)]
+    return rank
+
+
+def _face_rank(c: _Point, rhs: int, points: Sequence[_Point]) -> int:
+    """Dimension of the face c.x = rhs of the down-closed hull of points: the
+    points on the plane, plus each e_j with c_j = 0 that one of them can move
+    back along without leaving the orthant."""
+    on = [p for p in points if _dot(c, p) == rhs]
+    base = on[0]
+    vectors = [tuple(x - y for x, y in zip(p, base)) for p in on[1:]]
+    for j, cj in enumerate(c):
+        if cj == 0 and any(p[j] for p in on):
+            vectors.append(_unit(j, len(c)))
+    return _rank(vectors)
+
+
+def _hull_facets(points: Sequence[_Point], d: int) -> dict[_Point, int]:
+    """Facets of the down-closed hull conv(points) + cone(-e_j), within the
+    orthant, other than the coordinate planes: primitive normal c >= 0 ->
+    rhs > 0.
+
+    Such a facet is spanned by some a of the points and the d - a axis
+    directions e_j outside a set `free` of a coordinates (c_j = 0 there), so
+    every choice of both gives one normal, in the free coordinates only.
     """
-    pos = [r for r in rows if r[0][var] > 0]
-    neg = [r for r in rows if r[0][var] < 0]
-    keep = [r for r in rows if r[0][var] == 0]
-    out: dict[_Row, None] = dict.fromkeys(keep)
-    zero = Fraction(0)
-    for pc, pr in pos:
-        # pair with the implicit -var <= 0: the term just drops
-        coeffs = list(pc)
-        coeffs[var] = zero
-        row = _normalize_row(coeffs, pr)
-        if row is not None:
-            out[row] = None
-        for nc, nr in neg:
-            a, b = pc[var], -nc[var]
-            coeffs = [b * x + a * y for x, y in zip(pc, nc)]
-            row = _normalize_row(coeffs, b * pr + a * nr)
-            if row is not None:
-                out[row] = None
-    return list(out)
+    facets: dict[_Point, int] = {}
+    seen: set[_Point] = set()
+    for a in range(1, d + 1):
+        for free in combinations(range(d), a):
+            for chosen in combinations(points, a):
+                base = chosen[0]
+                sub = [tuple(p[i] - base[i] for i in free) for p in chosen[1:]]
+                normal = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in sub]) for i in range(a)]
+                if not any(normal):
+                    continue  # the chosen points are affinely dependent
+                if min(normal) < 0 < max(normal):
+                    continue
+                g = gcd(*normal) if max(normal) > 0 else -gcd(*normal)
+                c = [0] * d
+                for i, x in zip(free, normal):
+                    c[i] = x // g
+                key = tuple(c)
+                if key in seen:
+                    continue
+                seen.add(key)
+                rhs = max(_dot(key, p) for p in points)
+                if rhs > 0 and _face_rank(key, rhs, points) == d - 1:
+                    facets[key] = rhs
+    return facets
 
 
-def _prune_redundant(rows: list[_Row], nvars: int) -> list[_Row]:
-    """Drop rows implied by the others (plus nonnegativity), one at a time."""
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        coeffs, rhs = kept[i]
-        others = kept[:i] + kept[i + 1 :]
-        prog = LinearProgram(nvars, list(coeffs))
-        for oc, orhs in others:
-            prog.add_constraint(list(oc), LE, orhs)
-        out = solve_max(prog)
-        if out.status == "optimal" and out.value <= rhs:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
-def _solve_square(rows: list[Sequence[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    k = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][-1] for r in range(k)]
-
-
-def _extreme_points(halfspaces: list[_Row], k: int) -> list[DemandVector]:
-    from itertools import combinations
-
-    zero = Fraction(0)
-    bounds: list[_Row] = []
-    for i in range(k):
-        coeffs = tuple(Fraction(-1) if j == i else zero for j in range(k))
-        bounds.append((coeffs, zero))
-    all_rows = halfspaces + bounds
-    points: set[DemandVector] = set()
-    for combo in combinations(all_rows, k):
-        sol = _solve_square([c for c, _ in combo], [r for _, r in combo])
-        if sol is None:
-            continue
-        point = tuple(sol)
-        if any(x < 0 for x in point):
-            continue
-        if all(
-            sum((c * x for c, x in zip(coeffs, point)), zero) <= rhs
-            for coeffs, rhs in all_rows
-        ):
-            points.add(point)
-    return sorted(points)
+def _hull_vertices(points: Sequence[_Point], facets: dict[_Point, int], d: int) -> set[_Point]:
+    """Vertices of the down-closed hull, given all its facets. A vertex x
+    with x_j > 0 cannot move back along e_j, so it is a vertex of the
+    projection of conv(points) onto its support: one of the points with the
+    other coordinates zeroed. Those at which the tight facets and coordinate
+    planes have rank d are the vertices."""
+    candidates = {(0,) * d}
+    for p in points:
+        for mask in range(1, 1 << d):
+            candidates.add(tuple(x if mask >> j & 1 else 0 for j, x in enumerate(p)))
+    out: set[_Point] = set()
+    for x in candidates:
+        tight = [c for c, rhs in facets.items() if _dot(c, x) == rhs]
+        tight += [_unit(j, d) for j in range(d) if x[j] == 0]
+        if _rank(tight) == d:
+            out.add(x)
+    return out
 
 
 def project_region(
@@ -302,51 +317,71 @@ def project_region(
     mu: Optional[Sequence] = None,
     k_limit: int = PROJECTION_K_CAP,
 ) -> RegionHRep:
-    """Eliminate the allocation variables, leaving half-spaces over demands.
+    """The region as half-spaces over demands, with its extreme points.
 
-    Exact but exponential in principle, so the file count is guarded.
+    An exact hull of points the region's support LP certifies: each facet
+    c.lam <= rhs of the down-closed hull of the points found so far is
+    either confirmed by h(c) = rhs or cut off by the LP's maximizer, which
+    joins the points. A file with h(e_i) = 0 is dead and gets lam_i <= 0.
+    Exponential in k in principle, so the file count is guarded.
     """
     k = catalog.k
     if k > k_limit:
         raise GuardError(f"projection limited to k <= {k_limit}, got k = {k}")
     graph = build_graph(catalog, mu)
-    nsets = catalog.total_sets
-    nvars = k + nsets
-    zero = Fraction(0)
-    rows: list[_Row] = []
 
-    def add(coeffs: list[Fraction], rhs: Fraction) -> None:
-        row = _normalize_row(coeffs, rhs)
-        if row is not None:
-            rows.append(row)
+    def support(weights: Sequence[int]) -> tuple[Fraction, DemandVector]:
+        """h(weights) = max weights.lam over the region, with the color split
+        of a maximizer."""
+        out = solve_max(allocation_program(graph, weights=weights))
+        if out.status != "optimal":
+            raise RuntimeError(f"support LP in direction {tuple(weights)} is {out.status}")
+        return out.value, Allocation.from_flat(catalog, out.assignment).demand()
 
-    pos = 0
-    for fi, count in enumerate(catalog.counts):
-        coeffs = [zero] * nvars
-        coeffs[fi] = Fraction(1)
-        for idx in range(pos, pos + count):
-            coeffs[k + idx] = Fraction(-1)
-        add(coeffs, zero)
-        add([-c for c in coeffs], zero)
-        pos += count
-    for coeffs, _, cap in allocation_program(graph).rows:
-        add([zero] * k + coeffs, cap)
-    # allocation nonnegativity is implicit in the elimination step
+    axes = [support(_unit(i, k)) for i in range(k)]
+    live = [i for i, (h, _) in enumerate(axes) if h > 0]
+    d = len(live)
 
-    for var in range(k, nvars):
-        rows = _fm_eliminate(rows, var)
-        if len(rows) > _PRUNE_THRESHOLD:
-            rows = _prune_redundant(rows, nvars)
-    rows = _prune_redundant(rows, nvars)
+    def lift(c: _Point) -> list[int]:
+        out = [0] * k
+        for i, x in zip(live, c):
+            out[i] = x
+        return out
 
-    halfspaces: list[_Row] = []
-    for coeffs, rhs in rows:
-        assert not any(coeffs[k:])  # only demand coordinates survive
-        halfspaces.append((coeffs[:k], rhs))
-    halfspaces.sort()
-    vertices = _extreme_points(halfspaces, k)
+    found: list[tuple[Fraction, ...]] = []  # certified points, live coordinates
+    for _, split in axes:
+        point = tuple(split[i] for i in live)
+        if any(point) and point not in found:
+            found.append(point)
+    # a direction whose LP ran is a facet whenever it is a candidate again,
+    # since its maximizer is among the points
+    solved = {_unit(i, d) for i in range(d)}
+    while True:
+        scale = lcm(*(x.denominator for p in found for x in p))
+        points = [tuple(int(x * scale) for x in p) for p in found]
+        facets = _hull_facets(points, d)
+        pending = [c for c in facets if c not in solved]
+        if not pending:
+            break
+        fresh: list[tuple[Fraction, ...]] = []
+        for c in pending:
+            rhs = Fraction(facets[c], scale)
+            if any(_dot(c, p) > rhs for p in fresh):
+                continue  # already cut off in this round
+            solved.add(c)
+            value, split = support(lift(c))
+            if value < rhs:
+                raise RuntimeError(f"support LP in direction {c} is {value}, below the certified {rhs}")
+            if value > rhs:
+                fresh.append(tuple(split[i] for i in live))
+        found += fresh
+
+    rows = [_normalize_row(lift(c), Fraction(r, scale)) for c, r in facets.items()]
+    rows += [_normalize_row(_unit(i, k), Fraction(0)) for i in range(k) if i not in live]
+    rows.sort()
+    vertices = [tuple(Fraction(v, scale) for v in lift(x)) for x in _hull_vertices(points, facets, d)]
     return RegionHRep(
         k,
-        tuple(HalfSpace(c, r) for c, r in halfspaces),
-        tuple(vertices),
+        tuple(HalfSpace(c, r) for c, r in rows),
+        tuple(sorted(vertices)),
     )

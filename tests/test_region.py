@@ -232,18 +232,56 @@ def test_project_region_triangle():
 
 
 def test_project_region_agrees_with_membership_on_corpus():
+    # unit capacities, the golden test's mu, and a mu with zeros (dead files)
+    mus = (
+        lambda n: None,
+        lambda n: [F(l % 3 + 1, 2) for l in range(n)],
+        lambda n: [F(l % 3) for l in range(n)],
+    )
+    eps = F(1, 1000)
     rng = random.Random(23)
-    for g in support.corpus(25):
+    for g in support.corpus(200):
         cat = _catalog(g)
         if cat.k > 3:
             continue
-        region = project_region(cat)
-        for _ in range(6):
-            lam = tuple(F(rng.randint(0, 4), 2) for _ in range(cat.k))
-            assert region.contains(lam) == (membership(cat, lam) is not None), (g, lam)
-        # the region's own vertices are members; beyond any vertex is not
-        for vtx in region.vertices:
-            assert membership(cat, vtx) is not None
+        for make_mu in mus:
+            mu = make_mu(cat.n)
+            region = project_region(cat, mu)
+            for vtx in region.vertices:
+                assert membership(cat, vtx, mu) is not None, (g, mu, vtx)
+            # just beyond the centroid of each facet's vertices, which lies in
+            # the facet's relative interior, the region ends
+            for h in region.halfspaces:
+                on = [v for v in region.vertices if sum(c * x for c, x in zip(h.coeffs, v)) == h.rhs]
+                inner = [sum(xs) / len(on) for xs in zip(*on)]
+                beyond = tuple(x + eps * c for x, c in zip(inner, h.coeffs))
+                assert membership(cat, beyond, mu) is None, (g, mu, h)
+            for _ in range(4):
+                lam = tuple(F(rng.randint(0, 4), 2) for _ in range(cat.k))
+                assert region.contains(lam) == (membership(cat, lam, mu) is not None), (g, mu, lam)
+
+
+def test_project_region_dead_files_are_canonical():
+    # a zero capacity can leave a file nothing to serve it: that file gets
+    # lam_i <= 0 and coefficient 0 in every other half-space
+    one_dead = _catalog(GeneratorMatrix(PrimeField(2), [[0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+    region = project_region(one_dead, [F(1, 2), 1, 0])
+    assert [(h.coeffs, h.rhs) for h in region.halfspaces] == [
+        ((F(0), F(1), F(0)), F(0)),
+        ((F(2), F(0), F(2)), F(1)),
+    ]
+    assert region.vertices == (
+        (F(0), F(0), F(0)),
+        (F(0), F(0), F(1, 2)),
+        (F(1, 2), F(0), F(0)),
+    )
+    all_dead = _catalog(GeneratorMatrix(PrimeField(2), [[1, 0, 0], [1, 0, 1]]))
+    region = project_region(all_dead, [F(1, 2), 1, 0])
+    assert [(h.coeffs, h.rhs) for h in region.halfspaces] == [
+        ((F(0), F(1)), F(0)),
+        ((F(1), F(0)), F(0)),
+    ]
+    assert region.vertices == ((F(0), F(0)),)
 
 
 def test_project_region_guard():
