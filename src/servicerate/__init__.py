@@ -24,7 +24,6 @@ from .codes import (
     simplex_code,
 )
 from .errors import GuardError
-from .gf import FieldElement, PrimeField, is_scalar_multiple
 from .graphrep import (
     Bipartition,
     Edge,
@@ -60,9 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "GuardError",
-    "PrimeField",
-    "FieldElement",
-    "is_scalar_multiple",
     "GeneratorMatrix",
     "RecoverySet",
     "RecoverySetCatalog",

@@ -77,9 +77,10 @@ def is_batch_t(
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t!r}")
     k = catalog.k
-    if comb(t + k - 1, k - 1) > BATCH_ENUMERATION_CAP:
+    count = comb(t + k - 1, k - 1)
+    if count > BATCH_ENUMERATION_CAP:
         raise GuardError(
-            f"demand enumeration too large: C({t + k - 1}, {k - 1}) vectors "
+            f"demand enumeration too large: C({t + k - 1}, {k - 1}) = {count} vectors "
             f"exceeds the {BATCH_ENUMERATION_CAP} cap"
         )
     for lam in demand_vectors(k, t):
@@ -179,7 +180,8 @@ def algorithm1(lam: Sequence[int], graph: Optional[ServiceGraph] = None) -> Matc
     result = Matching(tuple(sorted(chosen)))
     result.validate(graph)
     counts = result.color_counts(graph)
-    assert all(counts.get(f, 0) == lam[f - 1] for f in (1, 2, 3))
+    if any(counts.get(f, 0) != lam[f - 1] for f in (1, 2, 3)):
+        raise RuntimeError(f"algorithm 1 served colour counts {counts}, not {tuple(lam)}")
     return result
 
 

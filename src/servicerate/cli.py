@@ -5,6 +5,7 @@ stdout (rationals as strings like "4" or "3/2"); exit code 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -71,7 +72,7 @@ def _allocation_json(alloc: region.Allocation) -> list[list[str]]:
 
 def _code_summary(catalog: codes.RecoverySetCatalog) -> dict:
     return {
-        "q": catalog.matrix.field.q,
+        "q": catalog.matrix.q,
         "k": catalog.k,
         "n": catalog.n,
         "recovery_counts": list(catalog.counts),
@@ -124,7 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _emit(payload)
     _note(
         args,
-        f"[{catalog.n},{catalog.k}]_{catalog.matrix.field.q} code: "
+        f"[{catalog.n},{catalog.k}]_{catalog.matrix.q} code: "
         f"capacity {value}, bipartite {payload['graph']['bipartite']}",
     )
     return EXIT_OK
@@ -295,6 +296,7 @@ def _add_mu_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mu", help="per-server capacities, comma-separated rationals")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="servicerate",

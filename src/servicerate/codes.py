@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf import FieldElement, PrimeField
-
 __all__ = [
     "GeneratorMatrix",
     "RecoverySet",
@@ -24,17 +22,38 @@ __all__ = [
     "simplex_code",
 ]
 
+_MODULUS_CAP = 1 << 31
+
+
+def _is_prime(q: int) -> bool:
+    if q < 2:
+        return False
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return False
+        d += 1
+    return True
+
 
 class GeneratorMatrix:
-    """A k x n matrix over GF(q). Rows are files 1..k, columns servers 1..n.
+    """A k x n matrix over GF(q), q a prime below 2**31. Rows are files
+    1..k, columns servers 1..n; entries are ints reduced into [0, q).
 
     Degenerate shapes are allowed (k > n, duplicate or zero columns); an
     all-zero row simply yields a file with no recovery sets.
     """
 
-    __slots__ = ("field", "k", "n", "rows")
+    __slots__ = ("q", "k", "n", "rows")
 
-    def __init__(self, field: PrimeField, rows: Sequence[Sequence[int]]) -> None:
+    def __init__(self, q: int, rows: Sequence[Sequence[int]]) -> None:
+        # bool is an int subclass; reject it explicitly
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"field modulus must be an integer, got {q!r}")
+        if q >= _MODULUS_CAP:
+            raise ValueError(f"field modulus {q} is at or above the 2**31 cap")
+        if not _is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("empty matrix")
@@ -45,47 +64,30 @@ class GeneratorMatrix:
             for e in r:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise ValueError(f"matrix entry {e!r} is not an integer")
-        self.field = field
+        self.q = q
         self.k = len(rows)
         self.n = n
-        self.rows: tuple[tuple[FieldElement, ...], ...] = tuple(
-            tuple(field.element(e) for e in r) for r in rows
-        )
+        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(e % q for e in r) for r in rows)
 
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        """Row for file i (1-based)."""
-        return self.rows[i - 1]
-
-    def column(self, j: int) -> tuple[FieldElement, ...]:
+    def column(self, j: int) -> tuple[int, ...]:
         """Column for server j (1-based)."""
-        return tuple(self.rows[r][j - 1] for r in range(self.k))
-
-    def unit_vector(self, i: int) -> tuple[FieldElement, ...]:
-        """e_i in GF(q)^k (1-based)."""
-        one, zero = self.field.one, self.field.zero
-        return tuple(one if r == i - 1 else zero for r in range(self.k))
+        return tuple(r[j - 1] for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.field.q,
-            "matrix": [[e.value for e in r] for r in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return {"q": self.q, "matrix": [list(r) for r in self.rows]}
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GeneratorMatrix)
-            and other.field == self.field
+            and other.q == self.q
             and other.rows == self.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.rows))
+        return hash((self.q, self.rows))
 
     def __repr__(self) -> str:
-        return f"GeneratorMatrix(k={self.k}, n={self.n}, q={self.field.q})"
+        return f"GeneratorMatrix(k={self.k}, n={self.n}, q={self.q})"
 
 
 def parse_generator_matrix(text: str) -> GeneratorMatrix:
@@ -104,8 +106,7 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
     matrix = data["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise ValueError('"matrix" must be a list of rows')
-    field = PrimeField(data["q"])
-    return GeneratorMatrix(field, matrix)
+    return GeneratorMatrix(data["q"], matrix)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,19 +118,11 @@ class RecoverySet:
 
     file: int
     servers: tuple[int, ...]
-    coefficients: tuple[FieldElement, ...]
+    coefficients: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.servers)
-
-    def evaluate(self, matrix: GeneratorMatrix) -> tuple[FieldElement, ...]:
-        """Recompute the linear combination; equals e_file by construction."""
-        total = [matrix.field.zero] * matrix.k
-        for server, coeff in zip(self.servers, self.coefficients):
-            col = matrix.column(server)
-            total = [t + coeff * c for t, c in zip(total, col)]
-        return tuple(total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,34 +169,33 @@ def enumerate_recovery_sets(matrix: GeneratorMatrix) -> RecoverySetCatalog:
     for the same pair, only the first found in a fixed scan order is kept.
     Zero columns never participate.
     """
-    field = matrix.field
+    q = matrix.q
     k, n = matrix.k, matrix.n
     columns = {j: matrix.column(j) for j in range(1, n + 1)}
     nonzero = [j for j in range(1, n + 1) if any(columns[j])]
     # exact column-value lookup; q is prime so scalar scans stay tiny
     by_value: dict[tuple[int, ...], list[int]] = {}
     for j in nonzero:
-        by_value.setdefault(tuple(e.value for e in columns[j]), []).append(j)
-    nz = field.nonzero_elements()
+        by_value.setdefault(columns[j], []).append(j)
 
     per_file: list[tuple[RecoverySet, ...]] = []
     for i in range(1, k + 1):
-        target = matrix.unit_vector(i)
+        target = tuple(int(r == i - 1) for r in range(k))
         singles: list[RecoverySet] = []
         for j in nonzero:
             col = columns[j]
             if col[i - 1] and all(not col[r] for r in range(k) if r != i - 1):
-                singles.append(RecoverySet(i, (j,), (col[i - 1].inv(),)))
+                singles.append(RecoverySet(i, (j,), (pow(col[i - 1], -1, q),)))
         pairs: dict[tuple[int, int], RecoverySet] = {}
         for a in nonzero:
             ga = columns[a]
-            for alpha in nz:
-                w = tuple(t - alpha * g for t, g in zip(target, ga))
+            for alpha in range(1, q):
+                w = tuple((t - alpha * g) % q for t, g in zip(target, ga))
                 if not any(w):
                     continue
-                for beta in nz:
-                    binv = beta.inv()
-                    want = tuple((binv * wr).value for wr in w)
+                for beta in range(1, q):
+                    binv = pow(beta, -1, q)
+                    want = tuple(binv * wr % q for wr in w)
                     for b in by_value.get(want, ()):
                         if b == a:
                             continue
@@ -225,4 +217,4 @@ def simplex_code(k: int) -> GeneratorMatrix:
         raise ValueError(f"simplex dimension must be an integer in [2, 10], got {k!r}")
     n = 2**k - 1
     rows = [[(j >> r) & 1 for j in range(1, n + 1)] for r in range(k)]
-    return GeneratorMatrix(PrimeField(2), rows)
+    return GeneratorMatrix(2, rows)

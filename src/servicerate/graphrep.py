@@ -96,16 +96,6 @@ class ServiceGraph:
     def incident_edges(self, vid: int) -> tuple[int, ...]:
         return self._adj[vid]
 
-    def degree(self, vid: int) -> int:
-        return len(self._adj[vid])
-
-    def neighbors(self, vid: int) -> tuple[int, ...]:
-        seen = set()
-        for idx in self._adj[vid]:
-            e = self.edges[idx]
-            seen.add(e.v if e.u == vid else e.u)
-        return tuple(sorted(seen))
-
     def has_unit_capacities(self) -> bool:
         return all(v.capacity == 1 for v in self.vertices)
 
@@ -164,9 +154,6 @@ class Bipartition:
 
     side_a: frozenset[int]
     side_b: frozenset[int]
-
-    def side_of(self, vid: int) -> int:
-        return 0 if vid in self.side_a else 1
 
 
 def is_bipartite(graph: ServiceGraph) -> Optional[Bipartition]:

@@ -178,7 +178,8 @@ class _Tableau:
         for j in range(self.n_struct + self.n_slack, self.width):
             cost[j] = Fraction(-1)
         status = self._run(cost, self.width)
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if status != "optimal":  # phase-1 objective is bounded above by 0
+            raise RuntimeError(f"phase-1 LP is {status}")
         art_lo = self.n_struct + self.n_slack
         for r in range(len(self.rows)):
             if self.basis[r] >= art_lo and self.rows[r][-1]:

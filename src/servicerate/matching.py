@@ -248,7 +248,8 @@ def fractional_matching_number(
     if not graph.has_unit_capacities():
         raise ValueError("fractional matching requires unit capacities")
     out = solve_max(allocation_program(graph))
-    assert out.status == "optimal"  # always feasible (0) and bounded
+    if out.status != "optimal":  # always feasible (0) and bounded
+        raise RuntimeError(f"fractional matching LP is {out.status}")
     return out.value, FractionalMatching(out.assignment)
 
 
@@ -296,7 +297,8 @@ def _koenig_cover(graph: ServiceGraph, side_a: frozenset[int]) -> VertexCover:
     )
     result = VertexCover(cover)
     result.validate(graph)
-    assert result.size == matching.size  # bipartite: cover meets matching
+    if result.size != matching.size:  # bipartite: cover meets matching
+        raise RuntimeError(f"Koenig cover has {result.size} vertices, matching has {matching.size} edges")
     return result
 
 
@@ -327,7 +329,8 @@ def _branch_and_bound_cover(graph: ServiceGraph) -> VertexCover:
             search([p for p in remaining if w not in p], chosen | {w})
 
     search(pairs, set())
-    assert best is not None
+    if best is None:  # the first leaf always records a cover
+        raise RuntimeError("cover search found no cover")
     result = VertexCover(frozenset(best))
     result.validate(graph)
     return result

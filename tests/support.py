@@ -10,8 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from servicerate.codes import GeneratorMatrix, RecoverySetCatalog
-from servicerate.gf import PrimeField
+from servicerate.codes import GeneratorMatrix, RecoverySet, RecoverySetCatalog
 from servicerate.graphrep import Edge, ServiceGraph, Vertex
 from servicerate.lp import EQ, GE, LE, LinearProgram
 
@@ -33,27 +32,40 @@ def random_code(
     k = rng.randint(1, max_k)
     n = rng.randint(1, max_n)
     rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-    return GeneratorMatrix(PrimeField(q), rows)
+    return GeneratorMatrix(q, rows)
+
+
+def unit_vector(k: int, i: int) -> tuple[int, ...]:
+    """e_i in GF(q)^k (1-based)."""
+    return tuple(int(r == i - 1) for r in range(k))
+
+
+def evaluate(matrix: GeneratorMatrix, rs: RecoverySet) -> tuple[int, ...]:
+    """The recovery set's combination of columns, reduced mod q."""
+    total = [0] * matrix.k
+    for server, coeff in zip(rs.servers, rs.coefficients):
+        total = [(t + coeff * c) % matrix.q for t, c in zip(total, matrix.column(server))]
+    return tuple(total)
 
 
 def brute_force_recovery_sets(matrix: GeneratorMatrix) -> set[tuple[int, tuple[int, ...]]]:
     """(file, servers) pairs found by trying every subset of size <= 2 with
     every nonzero coefficient combination."""
-    field = matrix.field
-    nz = field.nonzero_elements()
+    q = matrix.q
+    nz = range(1, q)
     found: set[tuple[int, tuple[int, ...]]] = set()
     nonzero_cols = [j for j in range(1, matrix.n + 1) if any(matrix.column(j))]
     for i in range(1, matrix.k + 1):
-        target = matrix.unit_vector(i)
+        target = unit_vector(matrix.k, i)
         for j in nonzero_cols:
             col = matrix.column(j)
             for c in nz:
-                if tuple(c * x for x in col) == target:
+                if tuple(c * x % q for x in col) == target:
                     found.add((i, (j,)))
         for a, b in combinations(nonzero_cols, 2):
             ca, cb = matrix.column(a), matrix.column(b)
             for alpha, beta in product(nz, nz):
-                combo = tuple(alpha * x + beta * y for x, y in zip(ca, cb))
+                combo = tuple((alpha * x + beta * y) % q for x, y in zip(ca, cb))
                 if combo == target:
                     found.add((i, (a, b)))
     return found
@@ -69,7 +81,7 @@ def graph_from_pairs(
     """
     from servicerate.codes import enumerate_recovery_sets
 
-    placeholder = enumerate_recovery_sets(GeneratorMatrix(PrimeField(2), [[0]]))
+    placeholder = enumerate_recovery_sets(GeneratorMatrix(2, [[0]]))
     top = max((max(p) for p in pairs), default=0) + extra_isolated
     vertices = [Vertex(i, str(i), Fraction(1), False) for i in range(1, top + 1)]
     edges = [Edge(min(u, v), max(u, v), 1, i) for i, (u, v) in enumerate(pairs)]

@@ -96,7 +96,7 @@ def test_criterion_03_simplex_bipartite_sides():
             odd = {j for j in range(1, n + 1) if bin(j).count("1") % 2 == 1}
             assert {v for v in side1 if v <= n} == odd
             for e in graph.edges:
-                assert part.side_of(e.u) != part.side_of(e.v)
+                assert (e.u in part.side_a) != (e.v in part.side_a)
 
 
 def test_criterion_04_simplex_all_parameters_collapse():

@@ -17,7 +17,6 @@ from servicerate.batchpir import (
 )
 from servicerate.codes import GeneratorMatrix, enumerate_recovery_sets, simplex_code
 from servicerate.errors import GuardError
-from servicerate.gf import PrimeField
 from servicerate.graphrep import build_graph
 from servicerate.region import integral_membership
 
@@ -27,7 +26,7 @@ def _simplex3():
 
 
 def _identity2():
-    return enumerate_recovery_sets(GeneratorMatrix(PrimeField(2), [[1, 0], [0, 1]]))
+    return enumerate_recovery_sets(GeneratorMatrix(2, [[1, 0], [0, 1]]))
 
 
 def test_demand_vectors_order_and_count():
@@ -55,8 +54,8 @@ def test_is_batch_t_validation_and_guard():
         is_batch_t(cat, 0)
     with pytest.raises(ValueError):
         is_batch_t(cat, True)
-    # C(t+2, 2) > 10^6 needs t ~ 1413
-    with pytest.raises(GuardError):
+    # C(t+2, 2) > 10^6 needs t ~ 1413; the message names the count and the cap
+    with pytest.raises(GuardError, match=r"C\(2002, 2\) = 2003001 vectors exceeds the 1000000 cap"):
         is_batch_t(cat, 2000)
     assert BATCH_ENUMERATION_CAP == 10**6
 
@@ -114,7 +113,7 @@ def test_pir_simplex_family():
 
 
 def test_pir_is_min_over_files():
-    g = GeneratorMatrix(PrimeField(2), [[1, 0, 1], [0, 1, 0]])
+    g = GeneratorMatrix(2, [[1, 0, 1], [0, 1, 0]])
     cat = enumerate_recovery_sets(g)
     report = pir_t(cat)
     assert report.t_pir == min(report.per_file)

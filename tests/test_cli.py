@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from servicerate import cli
 from servicerate.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from servicerate.codes import simplex_code
 
@@ -336,3 +338,21 @@ def test_installed_entry_point(simplex3_path):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE) == (0, 2, 3)
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        for k in ("2", "3"):
+            assert run_cli(["simplex", "--k", k])[0] == EXIT_OK
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("servicerate") == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,6 @@ from servicerate.codes import (
     parse_generator_matrix,
     simplex_code,
 )
-from servicerate.gf import PrimeField
 
 
 def _servers(catalog, file):
@@ -21,29 +21,27 @@ def _servers(catalog, file):
 
 
 def test_matrix_validation():
-    f2 = PrimeField(2)
     with pytest.raises(ValueError):
-        GeneratorMatrix(f2, [])
+        GeneratorMatrix(2, [])
     with pytest.raises(ValueError):
-        GeneratorMatrix(f2, [[]])
+        GeneratorMatrix(2, [[]])
     with pytest.raises(ValueError):
-        GeneratorMatrix(f2, [[1, 0], [1]])
+        GeneratorMatrix(2, [[1, 0], [1]])
     with pytest.raises(ValueError):
-        GeneratorMatrix(f2, [[True, False]])
+        GeneratorMatrix(2, [[True, False]])
     with pytest.raises(ValueError):
-        GeneratorMatrix(f2, [[1, 0.0]])
+        GeneratorMatrix(2, [[1, 0.0]])
 
 
 def test_matrix_accessors_are_one_based():
-    g = GeneratorMatrix(PrimeField(3), [[1, 2, 0], [0, 1, 1]])
-    assert [e.value for e in g.row(1)] == [1, 2, 0]
-    assert [e.value for e in g.column(2)] == [2, 1]
-    assert [e.value for e in g.unit_vector(2)] == [0, 1]
+    g = GeneratorMatrix(3, [[1, 2, 0], [0, 1, 1]])
+    assert g.rows[0] == (1, 2, 0)
+    assert g.column(2) == (2, 1)
     assert g.k == 2 and g.n == 3
 
 
 def test_json_round_trip():
-    g = GeneratorMatrix(PrimeField(5), [[1, 4, 0], [2, 0, 3]])
+    g = GeneratorMatrix(5, [[1, 4, 0], [2, 0, 3]])
     again = parse_generator_matrix(json.dumps(g.to_json_dict()))
     assert again == g
     with pytest.raises(ValueError):
@@ -76,32 +74,41 @@ def test_ordering_singletons_then_pairs_lex():
 
 
 def test_zero_columns_never_appear():
-    g = GeneratorMatrix(PrimeField(2), [[1, 0, 1], [0, 0, 1]])
+    g = GeneratorMatrix(2, [[1, 0, 1], [0, 0, 1]])
     cat = enumerate_recovery_sets(g)
     for rs in cat.flat():
         assert 2 not in rs.servers
 
 
+def _wide_codes() -> list[GeneratorMatrix]:
+    # the corpus is binary and ternary; these exercise inverses and scans at larger q
+    rng = random.Random(31)
+    return [support.random_code(rng, qs=(5, 7, 11, 13), max_n=5) for _ in range(30)]
+
+
 def test_coefficients_recompute_to_unit_vectors():
-    for g in support.corpus(40):
+    for g in support.corpus(40) + _wide_codes():
         cat = enumerate_recovery_sets(g)
         for rs in cat.flat():
-            assert rs.evaluate(g) == g.unit_vector(rs.file)
+            assert all(type(c) is int and 0 < c < g.q for c in rs.coefficients)
+            assert support.evaluate(g, rs) == support.unit_vector(g.k, rs.file)
 
 
 def test_one_set_per_server_subset():
     # columns 1 and 2 are parallel over GF(5): the pair {1,2} solves for
     # file 1 with three distinct coefficient choices, but only one entry stays
-    g = GeneratorMatrix(PrimeField(5), [[1, 2, 0], [0, 0, 1]])
+    g = GeneratorMatrix(5, [[1, 2, 0], [0, 0, 1]])
     cat = enumerate_recovery_sets(g)
     assert _servers(cat, 1) == [(1,), (2,), (1, 2)]
+    # the scan runs a, then alpha, then beta upward: 2*(1,0) + 2*(2,0) = e_1
+    assert [rs.coefficients for rs in cat.sets_for(1)] == [(1,), (3,), (2, 2)]
     for file in (1, 2):
         seen = [rs.servers for rs in cat.sets_for(file)]
         assert len(seen) == len(set(seen))
 
 
 def test_enumeration_matches_brute_force_on_corpus():
-    for g in support.corpus(120):
+    for g in support.corpus(120) + _wide_codes():
         cat = enumerate_recovery_sets(g)
         lib = {(rs.file, rs.servers) for rs in cat.flat()}
         assert lib == support.brute_force_recovery_sets(g)
@@ -112,7 +119,7 @@ def test_simplex_matrix_columns_count_binary():
         g = simplex_code(k)
         assert (g.k, g.n) == (k, 2**k - 1)
         for j in range(1, g.n + 1):
-            bits = sum(e.value << r for r, e in enumerate(g.column(j)))
+            bits = sum(e << r for r, e in enumerate(g.column(j)))
             assert bits == j
     with pytest.raises(ValueError):
         simplex_code(1)

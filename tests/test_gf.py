@@ -1,117 +1,50 @@
-"""Prime-field element arithmetic and scalar-multiple detection."""
+"""GF(q) as the code layer holds it: a prime modulus below 2**31 and matrix
+entries stored as ints reduced into [0, q)."""
 
 from __future__ import annotations
 
-import random
+import json
 
 import pytest
 
-from servicerate.gf import PrimeField, is_scalar_multiple
+from servicerate.codes import GeneratorMatrix, enumerate_recovery_sets, parse_generator_matrix
 
 
 def test_prime_validation():
     for q in (2, 3, 5, 7, 31, 2**31 - 1):
-        assert PrimeField(q).q == q
-    for bad in (0, 1, 4, 6, 9, 15, 2**31, 2**31 + 11):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+        assert GeneratorMatrix(q, [[1]]).q == q
+        assert parse_generator_matrix(json.dumps({"q": q, "matrix": [[1]]})).q == q
+    refusals = [(bad, "q must be prime") for bad in (0, 1, 4, 6, 9, 15, -7)]
+    refusals += [(bad, "at or above the 2\\*\\*31 cap") for bad in (2**31, 2**31 + 11)]
+    refusals += [(bad, "field modulus must be an integer") for bad in (True, 7.0, "7", None)]
+    for bad, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            GeneratorMatrix(bad, [[1]])
+        with pytest.raises(ValueError, match=message):
+            parse_generator_matrix(json.dumps({"q": bad, "matrix": [[1]]}))
 
 
 def test_element_construction_reduces_mod_q():
-    f = PrimeField(5)
-    assert f.element(7).value == 2
-    assert f.element(-1).value == 4
-    assert f.zero.value == 0
-    assert f.one.value == 1
-    assert [e.value for e in f.elements()] == [0, 1, 2, 3, 4]
-    assert [e.value for e in f.nonzero_elements()] == [1, 2, 3, 4]
-
-
-def test_arithmetic_small_tables():
-    f = PrimeField(3)
-    a, b = f.element(2), f.element(2)
-    assert (a + b).value == 1
-    assert (a - b).value == 0
-    assert (a * b).value == 1
-    assert (-a).value == 1
-    assert bool(f.zero) is False and bool(a) is True
-
-
-def test_arithmetic_matches_int_mod_q():
-    rng = random.Random(101)
-    for q in (2, 3, 5, 13, 101):
-        f = PrimeField(q)
-        for _ in range(50):
-            x, y = rng.randrange(q), rng.randrange(q)
-            a, b = f.element(x), f.element(y)
-            assert (a + b).value == (x + y) % q
-            assert (a - b).value == (x - y) % q
-            assert (a * b).value == (x * y) % q
-
-
-def test_inverse():
-    for q in (2, 3, 5, 11):
-        f = PrimeField(q)
-        for x in range(1, q):
-            e = f.element(x)
-            assert (e * e.inv()).value == 1
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).zero.inv()
-
-
-def test_cross_field_operations_rejected():
-    a = PrimeField(3).element(1)
-    b = PrimeField(5).element(1)
-    with pytest.raises(ValueError):
-        _ = a + b
-    with pytest.raises(TypeError):
-        _ = a + 1  # type: ignore[operator]
+    g = GeneratorMatrix(5, [[7, -1, 0, 1, 5], [4, 10, -6, 12, 3]])
+    assert g.rows == ((2, 4, 0, 1, 0), (4, 0, 4, 2, 3))
+    assert all(type(e) is int for r in g.rows for e in r)
+    assert g.to_json_dict() == {"q": 5, "matrix": [[2, 4, 0, 1, 0], [4, 0, 4, 2, 3]]}
+    assert parse_generator_matrix('{"q": 5, "matrix": [[7, -1]]}').rows == ((2, 4),)
 
 
 def test_equality_and_hash():
-    f = PrimeField(7)
-    assert f.element(3) == f.element(10)
-    assert f.element(3) != f.element(4)
-    assert PrimeField(7) == PrimeField(7)
-    assert hash(f.element(3)) == hash(f.element(10))
-    assert len({f.element(i) for i in range(14)}) == 7
+    assert GeneratorMatrix(7, [[3, 1]]) == GeneratorMatrix(7, [[10, -6]])
+    assert GeneratorMatrix(7, [[3, 1]]) != GeneratorMatrix(7, [[4, 1]])
+    assert GeneratorMatrix(7, [[3, 1]]) != GeneratorMatrix(11, [[3, 1]])
+    assert hash(GeneratorMatrix(7, [[3]])) == hash(GeneratorMatrix(7, [[10]]))
+    assert len({GeneratorMatrix(7, [[i]]) for i in range(14)}) == 7
 
 
-def test_scalar_multiple_detection():
-    f = PrimeField(5)
-    u = tuple(f.element(x) for x in (1, 2, 0))
-    v = tuple(f.element(x) for x in (3, 1, 0))  # v = 3*u
-    c = is_scalar_multiple(v, u)
-    assert c is not None and c.value == 3
-    w = tuple(f.element(x) for x in (1, 1, 0))
-    assert is_scalar_multiple(w, u) is None
-    # zero-at-different-positions can never match
-    z = tuple(f.element(x) for x in (1, 0, 2))
-    assert is_scalar_multiple(z, u) is None
-
-
-def test_scalar_multiple_rejects_zero_and_mismatch():
-    f = PrimeField(3)
-    zero = (f.zero, f.zero)
-    u = (f.one, f.zero)
-    with pytest.raises(ValueError):
-        is_scalar_multiple(zero, u)
-    with pytest.raises(ValueError):
-        is_scalar_multiple(u, zero)
-    with pytest.raises(ValueError):
-        is_scalar_multiple(u, (f.one,))
-
-
-def test_scalar_multiple_random_pairs():
-    rng = random.Random(77)
-    for _ in range(200):
-        q = rng.choice((2, 3, 5, 7))
-        f = PrimeField(q)
-        n = rng.randint(1, 5)
-        u = [f.element(rng.randrange(q)) for _ in range(n)]
-        if not any(u):
-            continue
-        c = f.element(rng.randrange(1, q))
-        v = tuple(c * x for x in u)
-        got = is_scalar_multiple(v, tuple(u))
-        assert got == c
+def test_inverse():
+    # a lone nonzero entry x recovers the file with coefficient x^-1 mod q
+    for q in (2, 3, 5, 11):
+        for x in range(1, q):
+            (rs,) = enumerate_recovery_sets(GeneratorMatrix(q, [[x]])).sets_for(1)
+            assert rs.coefficients[0] * x % q == 1
+    # zero has no inverse, so a zero entry recovers nothing
+    assert enumerate_recovery_sets(GeneratorMatrix(7, [[0]])).counts == (0,)

@@ -48,7 +48,7 @@ def _commands(text: str, k: int, n: int) -> list[list[str]]:
 
 def _codes() -> list[tuple[str, int, int]]:
     matrices = support.corpus(CORPUS_SLICE) + [simplex_code(3), simplex_code(4)]
-    return [(m.to_json(), m.k, m.n) for m in matrices]
+    return [(json.dumps(m.to_json_dict()), m.k, m.n) for m in matrices]
 
 
 def test_cli_output_digest_is_unchanged():

@@ -1,0 +1,33 @@
+"""Checks over the package source as a whole."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import servicerate
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_library_has_no_assert_statements():
+    # asserts vanish under `python -O`; invariants raise explicit errors instead
+    sources = sorted(Path(servicerate.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_perfbench_trace_hooks_resolve():
+    # perfbench/run.py --trace 1 wraps these functions by name
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, attr in spans.TRACED:
+        target = importlib.import_module(f"servicerate.{module}")
+        assert callable(getattr(target, attr, None)), f"servicerate.{module}.{attr}"

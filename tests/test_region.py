@@ -10,7 +10,6 @@ import pytest
 import support
 from servicerate.codes import GeneratorMatrix, enumerate_recovery_sets, simplex_code
 from servicerate.errors import GuardError
-from servicerate.gf import PrimeField
 from servicerate.graphrep import build_graph
 from servicerate.matching import fractional_matching_oracle
 from servicerate.region import (
@@ -34,11 +33,11 @@ def _simplex3():
 
 
 def _triangle():
-    return _catalog(GeneratorMatrix(PrimeField(3), [[2, 2, 1], [2, 1, 2], [1, 2, 2]]))
+    return _catalog(GeneratorMatrix(3, [[2, 2, 1], [2, 1, 2], [1, 2, 2]]))
 
 
 def _identity2():
-    return _catalog(GeneratorMatrix(PrimeField(2), [[1, 0], [0, 1]]))
+    return _catalog(GeneratorMatrix(2, [[1, 0], [0, 1]]))
 
 
 def test_as_demand():
@@ -264,7 +263,7 @@ def test_project_region_agrees_with_membership_on_corpus():
 def test_project_region_dead_files_are_canonical():
     # a zero capacity can leave a file nothing to serve it: that file gets
     # lam_i <= 0 and coefficient 0 in every other half-space
-    one_dead = _catalog(GeneratorMatrix(PrimeField(2), [[0, 1, 0], [0, 0, 1], [1, 1, 1]]))
+    one_dead = _catalog(GeneratorMatrix(2, [[0, 1, 0], [0, 0, 1], [1, 1, 1]]))
     region = project_region(one_dead, [F(1, 2), 1, 0])
     assert [(h.coeffs, h.rhs) for h in region.halfspaces] == [
         ((F(0), F(1), F(0)), F(0)),
@@ -275,7 +274,7 @@ def test_project_region_dead_files_are_canonical():
         (F(0), F(0), F(1, 2)),
         (F(1, 2), F(0), F(0)),
     )
-    all_dead = _catalog(GeneratorMatrix(PrimeField(2), [[1, 0, 0], [1, 0, 1]]))
+    all_dead = _catalog(GeneratorMatrix(2, [[1, 0, 0], [1, 0, 1]]))
     region = project_region(all_dead, [F(1, 2), 1, 0])
     assert [(h.coeffs, h.rhs) for h in region.halfspaces] == [
         ((F(0), F(1)), F(0)),
@@ -285,7 +284,7 @@ def test_project_region_dead_files_are_canonical():
 
 
 def test_project_region_guard():
-    g = GeneratorMatrix(PrimeField(2), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    g = GeneratorMatrix(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     cat = _catalog(g)
     with pytest.raises(GuardError):
         project_region(cat)
