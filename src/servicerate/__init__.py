@@ -33,7 +33,7 @@ from .graphrep import (
     export_dot,
     is_bipartite,
 )
-from .lp import EQ, GE, LE, LinearProgram, LPOutcome, feasible, solve_max
+from .lp import EQ, LE, LinearProgram, LPOutcome, feasible, solve_max
 from .matching import (
     FractionalMatching,
     Matching,
@@ -76,7 +76,6 @@ __all__ = [
     "LPOutcome",
     "LE",
     "EQ",
-    "GE",
     "solve_max",
     "feasible",
     "Matching",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,6 +18,10 @@ from .errors import GuardError
 __all__ = ["main", "entry"]
 
 EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE = 0, 2, 3
+
+# CPython's default int digit limit: no rational past 10**4300 could be printed.
+EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 def _fmt(x: Fraction) -> str:
@@ -45,8 +50,20 @@ def _load_catalog(args: argparse.Namespace) -> codes.RecoverySetCatalog:
 
 
 def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
+    tokens = [tok.strip() for tok in text.split(",")]
+    for tok in tokens:
+        # refused before Fraction builds 10**|exponent|, which takes seconds to hours
+        match = _EXPONENT.search(tok)
+        if match is None:
+            continue
+        digits = match.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > len(str(EXPONENT_CAP)) or int(digits or "0") > EXPONENT_CAP:
+            raise ValueError(
+                f"cannot parse {what} {text!r}: decimal exponent {match.group(1)} "
+                f"exceeds the cap of {EXPONENT_CAP} in magnitude"
+            )
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",")]
+        return [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
 

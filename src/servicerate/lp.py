@@ -1,13 +1,12 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on `fractions.Fraction`. Pivoting follows Bland's
-rule (smallest eligible index enters, smallest basic index breaks ratio
-ties), which guarantees termination and makes every solve deterministic:
-the same program always yields the same optimal basic solution. Returned
-optima are therefore vertices of the feasible polyhedron.
-
-Variables carry a default lower bound of 0; bounds may be reset per
-variable. Upper bounds are handled as ordinary rows.
+A dense two-phase simplex on `fractions.Fraction` for the one program shape
+the library builds: max c.x over x >= 0, subject to `<=` and `=` rows whose
+right-hand sides are nonnegative (server capacities and file demands).
+Pivoting follows Bland's rule (smallest eligible index enters, smallest
+basic index breaks ratio ties), which guarantees termination and makes every
+solve deterministic: the same program always yields the same optimal basic
+solution. Returned optima are therefore vertices of the feasible polyhedron.
 """
 
 from __future__ import annotations
@@ -16,16 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-__all__ = ["LE", "EQ", "GE", "LinearProgram", "LPOutcome", "solve_max", "feasible"]
+__all__ = ["LE", "EQ", "LinearProgram", "LPOutcome", "solve_max", "feasible"]
 
-LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
+LE, EQ = "<=", "="
 
 Number = int | Fraction
 
 
 class LinearProgram:
-    """max c.x subject to rows (A_i . x rel b_i) and per-variable bounds."""
+    """max c.x subject to x >= 0 and rows A_i . x rel b_i, rel in (LE, EQ),
+    b_i >= 0."""
 
     def __init__(self, num_vars: int, objective: Sequence[Number] = ()) -> None:
         if num_vars < 0:
@@ -36,8 +35,6 @@ class LinearProgram:
         else:
             self.objective = [Fraction(0)] * num_vars
         self.rows: list[tuple[list[Fraction], str, Fraction]] = []
-        self.lower: list[Optional[Fraction]] = [Fraction(0)] * num_vars
-        self.upper: list[Optional[Fraction]] = [None] * num_vars
 
     def _vector(self, coeffs: Sequence[Number]) -> list[Fraction]:
         if len(coeffs) != self.num_vars:
@@ -48,15 +45,12 @@ class LinearProgram:
         return [Fraction(c) for c in coeffs]
 
     def add_constraint(self, coeffs: Sequence[Number], relation: str, rhs: Number) -> None:
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        self.rows.append((self._vector(coeffs), relation, Fraction(rhs)))
-
-    def set_lower_bound(self, var: int, value: Number) -> None:
-        self.lower[var] = Fraction(value)
-
-    def set_upper_bound(self, var: int, value: Number) -> None:
-        self.upper[var] = Fraction(value)
+        if relation not in (LE, EQ):
+            raise ValueError(f"unknown relation {relation!r}: rows are {LE!r} or {EQ!r}")
+        bound = Fraction(rhs)
+        if bound < 0:
+            raise ValueError(f"right-hand side {bound} is negative")
+        self.rows.append((self._vector(coeffs), relation, bound))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,28 +69,8 @@ class _Tableau:
     def __init__(self, program: LinearProgram) -> None:
         n = program.num_vars
         self.n_struct = n
-        # shift x = y + lower so that y >= 0 throughout
-        self.shift = [lb if lb is not None else Fraction(0) for lb in program.lower]
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
-        for coeffs, rel, rhs in program.rows:
-            shifted = rhs - sum(c * s for c, s in zip(coeffs, self.shift))
-            rows.append((list(coeffs), rel, shifted))
-        for j, ub in enumerate(program.upper):
-            if ub is None:
-                continue
-            coeffs = [Fraction(0)] * n
-            coeffs[j] = Fraction(1)
-            rows.append((coeffs, LE, ub - self.shift[j]))
-        # normalize to nonnegative right-hand sides
-        normed: list[tuple[list[Fraction], str, Fraction]] = []
-        for coeffs, rel, rhs in rows:
-            if rhs < 0:
-                coeffs = [-c for c in coeffs]
-                rhs = -rhs
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            normed.append((coeffs, rel, rhs))
-        n_slack = sum(1 for _, rel, _ in normed if rel != EQ)
-        n_art = sum(1 for _, rel, _ in normed if rel != LE)
+        n_slack = sum(1 for _, rel, _ in program.rows if rel == LE)
+        n_art = len(program.rows) - n_slack
         self.n_slack = n_slack
         self.n_art = n_art
         width = n + n_slack + n_art
@@ -106,18 +80,12 @@ class _Tableau:
         slack_at = n
         art_at = n + n_slack
         zero = Fraction(0)
-        for coeffs, rel, rhs in normed:
+        for coeffs, rel, rhs in program.rows:
             row = coeffs + [zero] * (n_slack + n_art) + [rhs]
             if rel == LE:
                 row[slack_at] = Fraction(1)
                 self.basis.append(slack_at)
                 slack_at += 1
-            elif rel == GE:
-                row[slack_at] = Fraction(-1)
-                slack_at += 1
-                row[art_at] = Fraction(1)
-                self.basis.append(art_at)
-                art_at += 1
             else:
                 row[art_at] = Fraction(1)
                 self.basis.append(art_at)
@@ -212,24 +180,15 @@ class _Tableau:
         return self._run(cost, self.width)
 
     def assignment(self) -> tuple[Fraction, ...]:
-        y = [Fraction(0)] * self.n_struct
+        x = [Fraction(0)] * self.n_struct
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
-                y[b] = self.rows[r][-1]
-        return tuple(v + s for v, s in zip(y, self.shift))
-
-
-def _bounds_consistent(program: LinearProgram) -> bool:
-    for lb, ub in zip(program.lower, program.upper):
-        if ub is not None and lb is not None and ub < lb:
-            return False
-    return True
+                x[b] = self.rows[r][-1]
+        return tuple(x)
 
 
 def solve_max(program: LinearProgram) -> LPOutcome:
     """Maximize the objective; exact, deterministic, vertex-valued."""
-    if not _bounds_consistent(program):
-        return LPOutcome("infeasible")
     tab = _Tableau(program)
     if not tab.phase1():
         return LPOutcome("infeasible")
@@ -243,8 +202,6 @@ def solve_max(program: LinearProgram) -> LPOutcome:
 
 def feasible(program: LinearProgram) -> Optional[tuple[Fraction, ...]]:
     """A feasible point (a vertex), or None if the constraints are empty."""
-    if not _bounds_consistent(program):
-        return None
     tab = _Tableau(program)
     if not tab.phase1():
         return None

@@ -6,13 +6,14 @@ independent of the library code paths it cross-checks.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 from servicerate.codes import GeneratorMatrix, RecoverySet, RecoverySetCatalog
 from servicerate.graphrep import Edge, ServiceGraph, Vertex
-from servicerate.lp import EQ, GE, LE, LinearProgram
+from servicerate.lp import LE, LinearProgram
 
 CORPUS_SEED = 20260814
 
@@ -119,61 +120,63 @@ def brute_force_min_vertex_cover(graph: ServiceGraph) -> int:
     raise AssertionError("unreachable: all endpoints always cover")
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
-    k = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
+def _integer_row(coeffs: list[Fraction], rhs: Fraction) -> list[int]:
+    """coeffs | rhs scaled to integers by the lcm of their denominators."""
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs] + [int(rhs * scale)]
+
+
+def _bareiss_solve(system: list[list[int]]) -> tuple[int, list[int]] | None:
+    """Fraction-free Gauss-Jordan (Bareiss) on an n x (n+1) integer system.
+    Returns (d, X) with d > 0 and solution X / d, or None when singular;
+    every division is exact, and each diagonal entry ends equal to d."""
+    m = [list(r) for r in system]
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             return None
-        m[col], m[piv] = m[piv], m[col]
-        scale = Fraction(1) / m[col][col]
-        m[col] = [v * scale for v in m[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][-1] for r in range(k)]
+        m[k], m[piv] = m[piv], m[k]
+        row_k = m[k]
+        p = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row_k)]
+        prev = p
+    scaled = [r[n] for r in m]
+    return (prev, scaled) if prev > 0 else (-prev, [-v for v in scaled])
 
 
-def _point_feasible(prog: LinearProgram, x: list[Fraction]) -> bool:
-    for coeffs, rel, rhs in prog.rows:
-        lhs = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
-        if rel == LE and lhs > rhs:
-            return False
-        if rel == GE and lhs < rhs:
-            return False
-        if rel == EQ and lhs != rhs:
-            return False
-    for j in range(prog.num_vars):
-        if prog.lower[j] is not None and x[j] < prog.lower[j]:
-            return False
-        if prog.upper[j] is not None and x[j] > prog.upper[j]:
-            return False
-    return True
+def _row_holds(row: list[int], rel: str, x: list[int], d: int) -> bool:
+    """row . (x / d) rel rhs, in integers (d > 0)."""
+    lhs = sum(a * v for a, v in zip(row, x))
+    return lhs <= row[-1] * d if rel == LE else lhs == row[-1] * d
 
 
 def brute_force_lp_max(prog: LinearProgram):
     """('optimal', value) or ('infeasible', None) by enumerating every basic
-    point. Sound because all test programs keep lower bounds on all
-    variables, so a nonempty feasible set has a vertex."""
+    point: each n-subset of the planes (the rows, and x_j = 0 for each j) is
+    solved in integers, and kept when x >= 0 and every row holds. Sound for
+    bounded programs, since x >= 0 gives a nonempty feasible set a vertex."""
     n = prog.num_vars
-    planes: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, _, rhs in prog.rows:
-        planes.append((list(coeffs), rhs))
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        if prog.lower[j] is not None:
-            planes.append((unit, prog.lower[j]))
-        if prog.upper[j] is not None:
-            planes.append((list(unit), prog.upper[j]))
+    rows = [(_integer_row(coeffs, rhs), rel) for coeffs, rel, rhs in prog.rows]
+    planes = [row for row, _ in rows]
+    planes += [[int(i == j) for i in range(n)] + [0] for j in range(n)]
+    scale = math.lcm(*(c.denominator for c in prog.objective))
+    objective = [int(c * scale) for c in prog.objective]
     best = None
-    for combo in combinations(range(len(planes)), n):
-        point = _solve_square([planes[i][0] for i in combo], [planes[i][1] for i in combo])
-        if point is None or not _point_feasible(prog, point):
+    for combo in combinations(planes, n):
+        solved = _bareiss_solve(list(combo))
+        if solved is None:
             continue
-        value = sum((c * v for c, v in zip(prog.objective, point)), Fraction(0))
+        d, x = solved
+        if min(x, default=0) < 0:
+            continue
+        if not all(_row_holds(row, rel, x, d) for row, rel in rows):
+            continue
+        value = Fraction(sum(c * v for c, v in zip(objective, x)), scale * d)
         if best is None or value > best:
             best = value
     return ("infeasible", None) if best is None else ("optimal", best)

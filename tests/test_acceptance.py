@@ -226,7 +226,8 @@ def test_criterion_10_sandwich_and_oracles():
                     F(rng.randint(0, 8)),
                 )
             for j in range(nvars):
-                prog.set_upper_bound(j, F(rng.randint(1, 9)))
+                unit = [F(int(i == j)) for i in range(nvars)]
+                prog.add_constraint(unit, LE, F(rng.randint(1, 9)))
             out = solve_max(prog)
             status, value = support.brute_force_lp_max(prog)
             assert out.status == status

@@ -302,6 +302,36 @@ def test_usage_errors(simplex3_path, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_huge_decimal_exponents_are_refused_quickly(simplex3_path):
+    # Fraction("1e-999999999") alone would build 10**999999999, so the calls
+    # run in a child under a timeout: a regression fails instead of hanging
+    cases = [
+        ["member", "--code", simplex3_path, "--lambda", "1e-999999999,0,0"],
+        ["capacity", "--code", simplex3_path, "--mu", "1,1,1,1,1,1,1E-999_999_999"],
+    ]
+    script = (
+        "import json, time\n"
+        "from servicerate.cli import main\n"
+        "took = []\n"
+        f"for argv in {cases!r}:\n"
+        "    start = time.perf_counter()\n"
+        "    took.append((main(argv), time.perf_counter() - start))\n"
+        "print(json.dumps(took))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    for code, seconds in json.loads(proc.stdout):
+        assert code == EXIT_USAGE and seconds < 0.5
+    messages = proc.stderr.splitlines()
+    assert len(messages) == 2
+    expected = (("--lambda", "-999999999"), ("--mu", "-999_999_999"))
+    for (flag, exponent), message in zip(expected, messages):
+        assert message.startswith(f"error: cannot parse {flag} ")
+        assert f"decimal exponent {exponent} exceeds the cap of 4300 in magnitude" in message
+
+
 def test_deeply_nested_code_json(tmp_path):
     depth = 100_000
     text = '{"q": 2, "matrix": ' + "[" * depth + "]" * depth + "}"

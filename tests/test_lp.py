@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 
 import support
-from servicerate.lp import EQ, GE, LE, LinearProgram, feasible, solve_max
+from servicerate.lp import EQ, LE, LinearProgram, feasible, solve_max
 
 F = Fraction
 
 
 def test_simple_box():
     p = LinearProgram(2, [3, 5])
-    p.set_upper_bound(0, 4)
-    p.set_upper_bound(1, 6)
+    p.add_constraint([1, 0], LE, 4)
+    p.add_constraint([0, 1], LE, 6)
     p.add_constraint([3, 2], LE, 18)
     out = solve_max(p)
     assert out.status == "optimal"
@@ -38,20 +38,19 @@ def test_fractional_optimum():
     assert solve_max(p2).value == F(9, 2)
 
 
-def test_equality_and_ge_rows():
+def test_equality_and_le_rows():
     p = LinearProgram(3, [1, 2, 3])
     p.add_constraint([1, 1, 1], EQ, 10)
-    p.add_constraint([1, 0, 0], GE, 2)
     p.add_constraint([0, 0, 1], LE, 5)
     out = solve_max(p)
     assert out.status == "optimal"
-    assert out.value == 2 * 1 + 3 * 2 + 5 * 3  # x=(2,3,5)
-    assert out.assignment == (F(2), F(3), F(5))
+    assert out.value == 2 * 5 + 3 * 5  # x=(0,5,5)
+    assert out.assignment == (F(0), F(5), F(5))
 
 
 def test_infeasible():
     p = LinearProgram(1, [1])
-    p.add_constraint([1], GE, 5)
+    p.add_constraint([1], EQ, 5)
     p.add_constraint([1], LE, 3)
     out = solve_max(p)
     assert out.status == "infeasible"
@@ -79,24 +78,15 @@ def test_degenerate_cycling_guard():
     assert out.value == F(1, 20)
 
 
-def test_nonzero_lower_bounds():
-    p = LinearProgram(2, [-1, -1])
-    p.set_lower_bound(0, 3)
-    p.set_lower_bound(1, F(1, 2))
-    out = solve_max(p)
-    assert out.value == F(-7, 2)
-    assert out.assignment == (F(3), F(1, 2))
-
-
 def test_zero_variables():
     p = LinearProgram(0, [])
     out = solve_max(p)
     assert out.status == "optimal" and out.value == 0
     # rows over no variables read 0 rel rhs: constant truths or falsehoods
-    rows_ok = [(LE, 0), (LE, 1), (GE, 0), (GE, -1), (EQ, 0)]
-    rows_bad = [(LE, -1), (GE, 1), (EQ, 2)]
+    rows_ok = [(LE, 0), (LE, 1), (EQ, 0)]
+    rows_bad = [(EQ, 2)]
     cases = [([r], True) for r in rows_ok] + [([r], False) for r in rows_bad]
-    cases += [(rows_ok, True), (rows_ok + rows_bad[:1], False), (rows_bad[2:] + rows_ok, False)]
+    cases += [(rows_ok, True), (rows_ok + rows_bad, False), (rows_bad + rows_ok, False)]
     for rows, ok in cases:
         p = LinearProgram(0, [])
         for rel, rhs in rows:
@@ -123,12 +113,12 @@ def test_bad_inputs():
     p = LinearProgram(2, [1, 1])
     with pytest.raises(ValueError):
         p.add_constraint([1], LE, 1)
-    with pytest.raises(ValueError):
-        p.add_constraint([1, 1], "<", 1)
-    q = LinearProgram(1, [1])
-    q.set_lower_bound(0, 2)
-    q.set_upper_bound(0, 1)  # crossed bounds: no points
-    assert solve_max(q).status == "infeasible"
+    for relation in ("<", ">="):
+        with pytest.raises(ValueError, match="unknown relation"):
+            p.add_constraint([1, 1], relation, 1)
+    with pytest.raises(ValueError, match="negative"):
+        p.add_constraint([1, 1], LE, F(-1, 2))
+    assert p.rows == []
 
 
 def _random_program(rng: random.Random) -> LinearProgram:
@@ -136,11 +126,12 @@ def _random_program(rng: random.Random) -> LinearProgram:
     p = LinearProgram(n, [F(rng.randint(-4, 4)) for _ in range(n)])
     for _ in range(rng.randint(1, 4)):
         coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
-        rel = rng.choice((LE, GE, EQ))
+        rel = rng.choice((LE, EQ))
         p.add_constraint(coeffs, rel, F(rng.randint(0, 6)))
     for j in range(n):
         # keep everything bounded so the oracle's vertex enumeration is exact
-        p.set_upper_bound(j, F(rng.randint(1, 8)))
+        unit = [F(int(i == j)) for i in range(n)]
+        p.add_constraint(unit, LE, F(rng.randint(1, 8)))
     return p
 
 
@@ -158,11 +149,8 @@ def test_random_programs_match_vertex_enumeration():
             x = list(out.assignment)
             for coeffs, rel, rhs in p.rows:
                 lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
-                assert (
-                    (rel == LE and lhs <= rhs)
-                    or (rel == GE and lhs >= rhs)
-                    or (rel == EQ and lhs == rhs)
-                )
+                assert (rel == LE and lhs <= rhs) or (rel == EQ and lhs == rhs)
+            assert min(x) >= 0
             solved += 1
     assert solved >= 60  # most random instances should be feasible
 

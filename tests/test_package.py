@@ -31,3 +31,17 @@ def test_perfbench_trace_hooks_resolve():
     for module, attr in spans.TRACED:
         target = importlib.import_module(f"servicerate.{module}")
         assert callable(getattr(target, attr, None)), f"servicerate.{module}.{attr}"
+
+
+def test_exports_resolve():
+    # `from servicerate import *` fails on a stale name in any __all__
+    names = ["servicerate"] + [
+        f"servicerate.{path.stem}"
+        for path in sorted(Path(servicerate.__file__).parent.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    for name in names:
+        module = importlib.import_module(name)
+        assert module.__all__, name
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, f"{name}.__all__ names {missing}"
