@@ -8,9 +8,8 @@ sets, i.e. the matching number of that file's color class in the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .codes import RecoverySetCatalog, enumerate_recovery_sets, simplex_code
 from .errors import GuardError
@@ -39,23 +38,26 @@ BATCH_CRITERION = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BatchVerdict:
+class BatchVerdict(NamedTuple):
     t: int
-    all_served: bool
     first_failure: Optional[tuple[int, ...]]
 
+    @property
+    def all_served(self) -> bool:
+        return self.first_failure is None
 
-@dataclass(frozen=True, slots=True)
-class BatchReport:
+
+class BatchReport(NamedTuple):
     t_max: int
     verdicts: tuple[BatchVerdict, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PirReport:
-    t_pir: int
+class PirReport(NamedTuple):
     per_file: tuple[int, ...]
+
+    @property
+    def t_pir(self) -> int:
+        return min(self.per_file)
 
 
 def demand_vectors(k: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -101,7 +103,7 @@ def batch_t_max(catalog: RecoverySetCatalog) -> BatchReport:
     t_max = 0
     for t in range(1, cutoff + 2):
         ok, failing = is_batch_t(catalog, t)
-        verdicts.append(BatchVerdict(t, ok, failing))
+        verdicts.append(BatchVerdict(t, failing))
         if not ok:
             break
         t_max = t
@@ -114,7 +116,7 @@ def pir_t(catalog: RecoverySetCatalog) -> PirReport:
     per_file = tuple(
         max_matching(graph.subgraph_of_file(f)).size for f in range(1, catalog.k + 1)
     )
-    return PirReport(min(per_file), per_file)
+    return PirReport(per_file)
 
 
 def _simplex3_graph() -> ServiceGraph:

@@ -21,6 +21,7 @@ EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE = 0, 2, 3
 
 # CPython's default int digit limit: no rational past 10**4300 could be printed.
 EXPONENT_CAP = 4300
+_PRINTABLE_BELOW = 10**EXPONENT_CAP
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
@@ -63,14 +64,21 @@ def _parse_csv_rationals(text: str, what: str) -> list[Fraction]:
                 f"exceeds the cap of {EXPONENT_CAP} in magnitude"
             )
     try:
-        return [Fraction(tok) for tok in tokens]
+        values = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
+    for tok, x in zip(tokens, values):
+        if abs(x.numerator) >= _PRINTABLE_BELOW or x.denominator >= _PRINTABLE_BELOW:
+            raise ValueError(
+                f"cannot parse {what} {text!r}: {tok!r} has a numerator or denominator "
+                f"of more than {EXPONENT_CAP} digits, the limit for printing an integer"
+            )
+    return values
 
 
-def _parse_csv_ints(text: str, what: str) -> list[int]:
+def _integers(values: list[Fraction], what: str) -> list[int]:
     out = []
-    for frac in _parse_csv_rationals(text, what):
+    for frac in values:
         if frac.denominator != 1:
             raise ValueError(f"{what} entries must be integers, got {frac}")
         out.append(int(frac))
@@ -170,8 +178,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
     lam = _parse_csv_rationals(args.lam, "--lambda")
     if args.integral:
-        ints = _parse_csv_ints(args.lam, "--lambda")
-        witness = region.integral_membership(catalog, ints)
+        witness = region.integral_membership(catalog, _integers(lam, "--lambda"))
     else:
         witness = region.membership(catalog, lam, _mu(args))
     payload: dict = {
@@ -263,7 +270,7 @@ def _cmd_pir(args: argparse.Namespace) -> int:
 
 
 def _cmd_alg1(args: argparse.Namespace) -> int:
-    lam = _parse_csv_ints(args.lam, "--lambda")
+    lam = _integers(_parse_csv_rationals(args.lam, "--lambda"), "--lambda")
     graph = graphrep.build_graph(codes.enumerate_recovery_sets(codes.simplex_code(3)))
     chosen = batchpir.algorithm1(lam, graph)
     edges = []

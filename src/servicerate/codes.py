@@ -10,8 +10,7 @@ nonzero scalar multiples of e_i; size-2 sets from pairs spanning e_i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "GeneratorMatrix",
@@ -109,8 +108,7 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
     return GeneratorMatrix(data["q"], matrix)
 
 
-@dataclass(frozen=True, slots=True)
-class RecoverySet:
+class RecoverySet(NamedTuple):
     """Servers whose columns combine to e_file with the given coefficients.
 
     `servers` is sorted and 1-based; `coefficients` aligns with it entrywise.
@@ -125,8 +123,7 @@ class RecoverySet:
         return len(self.servers)
 
 
-@dataclass(frozen=True, slots=True)
-class RecoverySetCatalog:
+class RecoverySetCatalog(NamedTuple):
     """All recovery sets of size <= 2, per file, in a fixed deterministic order.
 
     Within each file: size-1 sets by column index, then size-2 sets in

@@ -10,9 +10,8 @@ allowed, parallel edges within a color cannot arise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import RecoverySet, RecoverySetCatalog
 
@@ -31,16 +30,14 @@ DUMMY_LABEL = "0"
 _DOT_PALETTE = ("magenta", "green", "blue", "orange", "purple", "brown", "cyan", "gold")
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     label: str
     capacity: Fraction
     is_dummy: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """One recovery set: endpoints u < v, colored by file; set_index is the
     0-based position inside that file's catalog list."""
 
@@ -148,8 +145,7 @@ def build_graph(
     return ServiceGraph(catalog, vertices, edges, n)
 
 
-@dataclass(frozen=True, slots=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """side_a holds, for every component, the side of its smallest vertex id."""
 
     side_a: frozenset[int]

@@ -11,9 +11,8 @@ solution. Returned optima are therefore vertices of the feasible polyhedron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = ["LE", "EQ", "LinearProgram", "LPOutcome", "solve_max", "feasible"]
 
@@ -53,8 +52,7 @@ class LinearProgram:
         self.rows.append((self._vector(coeffs), relation, bound))
 
 
-@dataclass(frozen=True, slots=True)
-class LPOutcome:
+class LPOutcome(NamedTuple):
     """status is 'optimal', 'infeasible' or 'unbounded'; value and assignment
     are set only when optimal."""
 

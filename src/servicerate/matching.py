@@ -15,9 +15,8 @@ branch-and-bound elsewhere, guarded by a size cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardError
 from .graphrep import ServiceGraph, is_bipartite
@@ -38,8 +37,7 @@ __all__ = [
 COVER_SEARCH_CAP = 64
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
+class Matching(NamedTuple):
     """Edge indices into the graph's edge tuple, pairwise vertex-disjoint."""
 
     edges: tuple[int, ...]
@@ -68,8 +66,7 @@ class Matching:
             seen.add(e.v)
 
 
-@dataclass(frozen=True, slots=True)
-class FractionalMatching:
+class FractionalMatching(NamedTuple):
     """One weight in [0, 1] per edge, vertex sums at most 1."""
 
     values: tuple[Fraction, ...]
@@ -89,8 +86,7 @@ class FractionalMatching:
                 raise ValueError(f"vertex {vid} is overloaded: {load}")
 
 
-@dataclass(frozen=True, slots=True)
-class VertexCover:
+class VertexCover(NamedTuple):
     vertices: frozenset[int]
 
     @property
@@ -103,15 +99,13 @@ class VertexCover:
                 raise ValueError(f"edge ({e.u}, {e.v}) is uncovered")
 
 
-def _simple_adjacency(graph: ServiceGraph) -> tuple[list[int], dict[int, int], list[list[int]]]:
-    """Collapse parallel edges; returns (ids, id->index, neighbor lists)."""
-    ids = [v.id for v in graph.vertices]
-    index = {vid: i for i, vid in enumerate(ids)}
-    nbr: list[set[int]] = [set() for _ in ids]
+def _simple_adjacency(graph: ServiceGraph) -> list[list[int]]:
+    """Collapse parallel edges; sorted neighbor lists, vertex id v at index v - 1."""
+    nbr: list[set[int]] = [set() for _ in graph.vertices]
     for e in graph.edges:
-        nbr[index[e.u]].add(index[e.v])
-        nbr[index[e.v]].add(index[e.u])
-    return ids, index, [sorted(s) for s in nbr]
+        nbr[e.u - 1].add(e.v - 1)
+        nbr[e.v - 1].add(e.u - 1)
+    return [sorted(s) for s in nbr]
 
 
 def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
@@ -197,8 +191,8 @@ def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
 def max_matching(graph: ServiceGraph) -> Matching:
     """A maximum matching; between parallel edges the smallest index is taken."""
-    ids, index, adj = _simple_adjacency(graph)
-    mate = _blossom_matching(len(ids), adj)
+    adj = _simple_adjacency(graph)
+    mate = _blossom_matching(len(adj), adj)
     first_edge: dict[tuple[int, int], int] = {}
     for i, e in enumerate(graph.edges):
         key = (e.u, e.v)
@@ -207,8 +201,7 @@ def max_matching(graph: ServiceGraph) -> Matching:
     chosen = []
     for i, m in enumerate(mate):
         if m > i:
-            u, v = ids[i], ids[m]
-            chosen.append(first_edge[(min(u, v), max(u, v))])
+            chosen.append(first_edge[(i + 1, m + 1)])
     return Matching(tuple(sorted(chosen)))
 
 
@@ -256,14 +249,13 @@ def fractional_matching_number(
 def fractional_matching_oracle(graph: ServiceGraph) -> Fraction:
     """Independent route: half the matching number of the bipartite double
     cover (each edge {u, v} becomes (u', v'') and (v', u''))."""
-    ids, index, adj = _simple_adjacency(graph)
-    n = len(ids)
+    adj = _simple_adjacency(graph)
+    n = len(adj)
     double: list[list[int]] = [[] for _ in range(2 * n)]
     for i in range(n):
         for j in adj[i]:
             double[i].append(j + n)
             double[j + n].append(i)
-    double = [sorted(set(s)) for s in double]
     mate = _blossom_matching(2 * n, double)
     size = sum(1 for x in mate if x != -1) // 2
     return Fraction(size, 2)

@@ -14,11 +14,10 @@ certify, and grows until the LP confirms each of its facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import RecoverySetCatalog
 from .errors import GuardError
@@ -54,8 +53,7 @@ def as_demand(values: Sequence[int | float | str | Fraction], k: int) -> DemandV
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Per-file request splits, aligned with the catalog's set order."""
 
     per_file: tuple[tuple[Fraction, ...], ...]
@@ -167,8 +165,7 @@ def integral_membership(
     return Allocation(rows)
 
 
-@dataclass(frozen=True, slots=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     """coeffs . lam <= rhs"""
 
     coeffs: tuple[Fraction, ...]
@@ -178,8 +175,7 @@ class HalfSpace:
         return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) <= self.rhs
 
 
-@dataclass(frozen=True, slots=True)
-class RegionHRep:
+class RegionHRep(NamedTuple):
     """The region as half-spaces over demand space (nonnegativity implied),
     with its extreme points."""
 

@@ -332,6 +332,24 @@ def test_huge_decimal_exponents_are_refused_quickly(simplex3_path):
         assert f"decimal exponent {exponent} exceeds the cap of 4300 in magnitude" in message
 
 
+def test_unprintable_values_are_refused_naming_the_flag(simplex3_path):
+    # a numerator or denominator from 10**4300 up has too many digits to print
+    cases = [
+        ("--lambda", "1e4300", ["member", "--lambda", "1e4300,0,0"]),
+        ("--lambda", "1e-4300", ["member", "--lambda", "1e-4300,0,0"]),
+        ("--lambda", "12345e4299", ["member", "--lambda", "12345e4299,0,0"]),
+        ("--mu", "1e-4300", ["capacity", "--mu", "1,1,1,1,1,1,1e-4300"]),
+    ]
+    for flag, token, argv in cases:
+        code, out, err = run_cli(argv + ["--code", simplex3_path])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot parse {flag} ")
+        assert f"{token!r} has a numerator or denominator of more than 4300 digits" in err
+    code, doc, _ = run_json(["member", "--code", simplex3_path, "--lambda", "1e4299,0,0"])
+    assert code == EXIT_INFEASIBLE
+    assert doc["lambda"] == [str(10**4299), "0", "0"]
+
+
 def test_deeply_nested_code_json(tmp_path):
     depth = 100_000
     text = '{"q": 2, "matrix": ' + "[" * depth + "]" * depth + "}"

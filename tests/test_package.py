@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import servicerate
@@ -45,3 +47,19 @@ def test_exports_resolve():
         assert module.__all__, name
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert not missing, f"{name}.__all__ names {missing}"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # records are NamedTuples: dataclasses (and inspect, dis, ast, tokenize
+    # behind it) would be most of the CLI's import time
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import servicerate.cli; "
+        "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    src = Path(servicerate.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
