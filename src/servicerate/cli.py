@@ -25,8 +25,23 @@ _PRINTABLE_BELOW = 10**EXPONENT_CAP
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
+def _digits(v: int) -> int:
+    """Decimal digits of v > 0, counted without str(), which refuses them."""
+    d = (v.bit_length() - 1) * 3010 // 10000  # 10**d <= v, as 0.3010 < log10(2)
+    while 10**d <= v:
+        d += 1
+    return d
+
+
 def _fmt(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # an int of more than EXPONENT_CAP digits
+        big = max(abs(x.numerator), x.denominator)
+        raise GuardError(
+            f"an answer has a numerator or denominator of {_digits(big)} digits, "
+            f"past the limit of {EXPONENT_CAP} digits for printing"
+        ) from None
 
 
 def _emit(payload: dict) -> None:

@@ -93,7 +93,7 @@ def parse_generator_matrix(text: str) -> GeneratorMatrix:
     """Parse the JSON form {"q": <prime>, "matrix": [[row], ...]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past CPython's digit limit
         raise ValueError(f"invalid code JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("invalid code JSON: nested too deeply") from exc

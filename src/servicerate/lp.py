@@ -1,12 +1,17 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex on `fractions.Fraction` for the one program shape
-the library builds: max c.x over x >= 0, subject to `<=` and `=` rows whose
-right-hand sides are nonnegative (server capacities and file demands).
-Pivoting follows Bland's rule (smallest eligible index enters, smallest
-basic index breaks ratio ties), which guarantees termination and makes every
-solve deterministic: the same program always yields the same optimal basic
-solution. Returned optima are therefore vertices of the feasible polyhedron.
+A dense simplex on `fractions.Fraction` for the one program shape the library
+builds: x >= 0 under `<=` and `=` rows whose right-hand sides are nonnegative
+(server capacities and file demands). Every call is one simplex run from the
+slack basis, which is feasible because b >= 0. `solve_max` takes `<=` rows
+only and maximizes the objective. `feasible` is phase 1 read as a `<=`
+program: each `=` row gets a slack like a `<=` row, the run maximizes the sum
+of the `=` rows' left-hand sides, and the rows can be met exactly when no
+`=`-row slack is left positive. Pivoting follows Bland's rule (smallest
+eligible index enters, smallest basic index breaks ratio ties), which
+guarantees termination and makes every solve deterministic: the same program
+always yields the same basic solution, so returned points are vertices of
+the feasible polyhedron.
 """
 
 from __future__ import annotations
@@ -53,154 +58,89 @@ class LinearProgram:
 
 
 class LPOutcome(NamedTuple):
-    """status is 'optimal', 'infeasible' or 'unbounded'; value and assignment
-    are set only when optimal."""
+    """status is 'optimal' or 'unbounded' (a `<=` program over x >= 0 with
+    b >= 0 always has the feasible point 0); value and assignment are set
+    only when optimal."""
 
     status: str
     value: Optional[Fraction] = None
     assignment: Optional[tuple[Fraction, ...]] = None
 
 
-class _Tableau:
-    """Standard-form tableau: rows A|b with b >= 0, one basic column per row."""
-
-    def __init__(self, program: LinearProgram) -> None:
-        n = program.num_vars
-        self.n_struct = n
-        n_slack = sum(1 for _, rel, _ in program.rows if rel == LE)
-        n_art = len(program.rows) - n_slack
-        self.n_slack = n_slack
-        self.n_art = n_art
-        width = n + n_slack + n_art
-        self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.basis: list[int] = []
-        slack_at = n
-        art_at = n + n_slack
-        zero = Fraction(0)
-        for coeffs, rel, rhs in program.rows:
-            row = coeffs + [zero] * (n_slack + n_art) + [rhs]
-            if rel == LE:
-                row[slack_at] = Fraction(1)
-                self.basis.append(slack_at)
-                slack_at += 1
-            else:
-                row[art_at] = Fraction(1)
-                self.basis.append(art_at)
-                art_at += 1
-            self.rows.append(row)
-
-    def _pivot(self, r: int, c: int) -> None:
-        row = self.rows[r]
-        inv = Fraction(1) / row[c]
-        self.rows[r] = row = [v * inv for v in row]
-        for i, other in enumerate(self.rows):
-            if i != r and other[c]:
-                f = other[c]
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
-        self.basis[r] = c
-
-    def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        """Eliminate basic columns from a cost row (cost has width+1 cells)."""
-        red = list(cost)
-        for r, b in enumerate(self.basis):
-            if red[b]:
-                f = red[b]
-                red = [a - f * v for a, v in zip(red, self.rows[r])]
-        return red
-
-    def _run(self, cost: list[Fraction], allowed: int) -> str:
-        """Bland-rule simplex on columns [0, allowed); returns final status."""
-        red = self._reduced_costs(cost)
-        while True:
-            enter = next((j for j in range(allowed) if red[j] > 0), None)
-            if enter is None:
-                return "optimal"
-            best_r = -1
-            best_ratio: Optional[Fraction] = None
-            for r, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = row[-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[best_r])
-                    ):
-                        best_ratio = ratio
-                        best_r = r
-            if best_r < 0:
-                return "unbounded"
-            self._pivot(best_r, enter)
-            f = red[enter]
-            red = [a - f * v for a, v in zip(red, self.rows[best_r])]
-
-    def phase1(self) -> bool:
-        """Drive artificials to zero; False means the program is infeasible."""
-        if self.n_art == 0:
-            return True
-        zero = Fraction(0)
-        cost = [zero] * (self.width + 1)
-        for j in range(self.n_struct + self.n_slack, self.width):
-            cost[j] = Fraction(-1)
-        status = self._run(cost, self.width)
-        if status != "optimal":  # phase-1 objective is bounded above by 0
-            raise RuntimeError(f"phase-1 LP is {status}")
-        art_lo = self.n_struct + self.n_slack
-        for r in range(len(self.rows)):
-            if self.basis[r] >= art_lo and self.rows[r][-1]:
-                return False
-        # pivot surviving artificials out of the basis, dropping redundant rows
-        keep: list[int] = []
-        for r in range(len(self.rows)):
-            if self.basis[r] < art_lo:
-                keep.append(r)
-                continue
-            col = next(
-                (j for j in range(art_lo) if self.rows[r][j]),
-                None,
-            )
-            if col is None:
-                continue  # all-zero over real columns: redundant constraint
-            self._pivot(r, col)
-            keep.append(r)
-        kept = set(keep)
-        self.rows = [row[:art_lo] + [row[-1]] for i, row in enumerate(self.rows) if i in kept]
-        self.basis = [self.basis[i] for i in keep]
-        self.width = art_lo
-        self.n_art = 0
-        return True
-
-    def phase2(self, objective: list[Fraction]) -> str:
-        zero = Fraction(0)
-        cost = [zero] * (self.width + 1)
-        cost[: self.n_struct] = objective
-        return self._run(cost, self.width)
-
-    def assignment(self) -> tuple[Fraction, ...]:
-        x = [Fraction(0)] * self.n_struct
-        for r, b in enumerate(self.basis):
-            if b < self.n_struct:
-                x[b] = self.rows[r][-1]
-        return tuple(x)
+def _simplex(program: LinearProgram, cost: list[Fraction]) -> Optional[list[Fraction]]:
+    """Maximize cost.x over the program's rows, each read as `<=`, by a
+    Bland-rule simplex from the slack basis. Slack columns follow the n
+    structural ones: those of `<=` rows, then those of `=` rows, each group in
+    row order. Returns the final value of every column, or None when
+    unbounded. Slacks cost 0, so the cost row starts reduced."""
+    n, m = program.num_vars, len(program.rows)
+    zero, one = Fraction(0), Fraction(1)
+    slack = {LE: n, EQ: n + sum(rel == LE for _, rel, _ in program.rows)}
+    rows: list[list[Fraction]] = []
+    basis: list[int] = []
+    for coeffs, rel, rhs in program.rows:
+        row = coeffs + [zero] * m + [rhs]
+        row[slack[rel]] = one
+        basis.append(slack[rel])
+        slack[rel] += 1
+        rows.append(row)
+    red = cost + [zero] * m
+    while True:
+        enter = next((j for j, v in enumerate(red) if v > 0), None)
+        if enter is None:
+            values = [zero] * (n + m)
+            for b, row in zip(basis, rows):
+                values[b] = row[-1]
+            return values
+        best_r = -1
+        best_ratio: Optional[Fraction] = None
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_r])
+                ):
+                    best_ratio = ratio
+                    best_r = r
+        if best_r < 0:
+            return None
+        inv = one / rows[best_r][enter]
+        rows[best_r] = pivot = [v * inv for v in rows[best_r]]
+        for i, other in enumerate(rows):
+            f = other[enter]
+            if i != best_r and f:
+                rows[i] = [a - f * b for a, b in zip(other, pivot)]
+        basis[best_r] = enter
+        f = red[enter]
+        red = [a - f * v for a, v in zip(red, pivot)]
 
 
 def solve_max(program: LinearProgram) -> LPOutcome:
-    """Maximize the objective; exact, deterministic, vertex-valued."""
-    tab = _Tableau(program)
-    if not tab.phase1():
-        return LPOutcome("infeasible")
-    status = tab.phase2(list(program.objective))
-    if status != "optimal":
-        return LPOutcome(status)
-    x = tab.assignment()
+    """Maximize the objective over `<=` rows; exact, deterministic,
+    vertex-valued."""
+    if any(rel == EQ for _, rel, _ in program.rows):
+        raise ValueError("solve_max takes '<=' rows only; use feasible for '=' rows")
+    values = _simplex(program, program.objective)
+    if values is None:
+        return LPOutcome("unbounded")
+    x = tuple(values[: program.num_vars])
     value = sum((c * v for c, v in zip(program.objective, x)), Fraction(0))
     return LPOutcome("optimal", value, x)
 
 
 def feasible(program: LinearProgram) -> Optional[tuple[Fraction, ...]]:
     """A feasible point (a vertex), or None if the constraints are empty."""
-    tab = _Tableau(program)
-    if not tab.phase1():
-        return None
-    return tab.assignment()
+    n = program.num_vars
+    cost = [Fraction(0)] * n
+    for coeffs, rel, _ in program.rows:
+        if rel == EQ:
+            cost = [a + b for a, b in zip(cost, coeffs)]
+    values = _simplex(program, cost)
+    if values is None:  # the sum of the `=` rows is capped by their rhs
+        raise RuntimeError("feasibility LP is unbounded")
+    if any(values[n + sum(rel == LE for _, rel, _ in program.rows) :]):
+        return None  # an `=` row falls short of its rhs
+    return tuple(values[:n])

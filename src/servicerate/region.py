@@ -98,9 +98,12 @@ def capacity(
     graph: Optional[ServiceGraph] = None,
 ) -> tuple[Fraction, DemandVector, Allocation]:
     """Service capacity: the maximum total demand rate, plus a maximizer.
-    A caller already holding build_graph(catalog, mu) passes it as graph."""
+    A caller already holding build_graph(catalog, mu) passes it as graph
+    instead of mu."""
     if graph is None:
         graph = build_graph(catalog, mu)
+    elif mu is not None:
+        raise ValueError("pass mu or a graph built with it, not both")
     out = solve_max(allocation_program(graph))
     if out.status != "optimal":  # 0 is feasible and totals are capped
         raise RuntimeError(f"capacity LP is {out.status}")

@@ -350,6 +350,30 @@ def test_unprintable_values_are_refused_naming_the_flag(simplex3_path):
     assert doc["lambda"] == [str(10**4299), "0", "0"]
 
 
+def test_unprintable_answers_are_refused_naming_the_limit(simplex3_path):
+    # each entry prints, but the capacity 4 * 9e4299 has 4301 digits
+    mu = ",".join(["9e4299"] * 7)
+    code, out, err = run_cli(["capacity", "--code", simplex3_path, "--mu", mu])
+    assert code == EXIT_INFEASIBLE and out == ""
+    assert err == (
+        "error: an answer has a numerator or denominator of 4301 digits, "
+        "past the limit of 4300 digits for printing\n"
+    )
+    for k in (1, 2, 4299, 4300, 4301, 9000):
+        assert cli._digits(10 ** (k - 1)) == cli._digits(10**k - 1) == k
+
+
+def test_code_json_with_unparsable_integers(tmp_path):
+    # json.loads refuses ints past CPython's 4300-digit limit with a plain ValueError
+    huge = "1" * 4301
+    for text in (f'{{"q": {huge}, "matrix": [[1]]}}', f'{{"q": 2, "matrix": [[{huge}]]}}'):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run_cli(["capacity", "--code", str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: invalid code JSON: ")
+
+
 def test_deeply_nested_code_json(tmp_path):
     depth = 100_000
     text = '{"q": 2, "matrix": ' + "[" * depth + "]" * depth + "}"

