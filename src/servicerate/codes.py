@@ -150,14 +150,6 @@ class RecoverySetCatalog(NamedTuple):
     def total_sets(self) -> int:
         return sum(self.counts)
 
-    def sets_for(self, file: int) -> tuple[RecoverySet, ...]:
-        """Recovery sets of file i (1-based)."""
-        return self.per_file[file - 1]
-
-    def flat(self) -> tuple[RecoverySet, ...]:
-        """All sets in file-major catalog order."""
-        return tuple(rs for sets in self.per_file for rs in sets)
-
 
 def enumerate_recovery_sets(matrix: GeneratorMatrix) -> RecoverySetCatalog:
     """Enumerate every recovery set of size 1 or 2 for each file.

@@ -119,13 +119,17 @@ def build_graph(
     catalog: RecoverySetCatalog,
     mu: Optional[Sequence[int | Fraction]] = None,
 ) -> ServiceGraph:
-    """Build the colored graph for a catalog under capacities mu (default all 1)."""
+    """Build the colored graph for a catalog under capacities mu (default all
+    1). Float and bool capacities are refused, as in `region.as_demand`."""
     n = catalog.n
     if mu is None:
         caps = [Fraction(1)] * n
     else:
         if len(mu) != n:
             raise ValueError(f"capacity vector has length {len(mu)}, expected {n}")
+        for j, m in enumerate(mu, start=1):
+            if isinstance(m, (bool, float)):
+                raise ValueError(f"capacity entry {j} is {m!r}, not an exact rational")
         caps = [Fraction(m) for m in mu]
         if any(c < 0 for c in caps):
             raise ValueError("capacities must be nonnegative")

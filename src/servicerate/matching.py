@@ -4,8 +4,9 @@
 variable per edge (= per recovery set), one capacity row per server. Its
 total-weight maximum is the service capacity, and under unit capacities it
 is the fractional matching LP, so capacity = m_f holds by construction.
-The fractional matching number is computed two independent ways: as that
-exact LP, and as half the matching number of the bipartite double cover.
+`fractional_matching_number` solves that LP and returns m_f with one value
+per edge; `fractional_matching_oracle` is the independent route, half the
+matching number of the bipartite double cover.
 
 Maximum matching uses the blossom (odd-cycle contraction) augmenting-path
 method, so non-bipartite graphs are exact. Minimum vertex cover uses the
@@ -24,7 +25,6 @@ from .lp import EQ, LE, LinearProgram, solve_max
 
 __all__ = [
     "Matching",
-    "FractionalMatching",
     "VertexCover",
     "allocation_program",
     "max_matching",
@@ -64,26 +64,6 @@ class Matching(NamedTuple):
                 raise ValueError(f"edges share vertex at edge index {i}")
             seen.add(e.u)
             seen.add(e.v)
-
-
-class FractionalMatching(NamedTuple):
-    """One weight in [0, 1] per edge, vertex sums at most 1."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
-    def validate(self, graph: ServiceGraph) -> None:
-        if len(self.values) != graph.edge_count:
-            raise ValueError("one value per edge required")
-        if any(x < 0 or x > 1 for x in self.values):
-            raise ValueError("edge values must lie in [0, 1]")
-        for vid in graph.vertex_ids():
-            load = sum((self.values[i] for i in graph.incident_edges(vid)), Fraction(0))
-            if load > 1:
-                raise ValueError(f"vertex {vid} is overloaded: {load}")
 
 
 class VertexCover(NamedTuple):
@@ -236,14 +216,15 @@ def allocation_program(
 
 def fractional_matching_number(
     graph: ServiceGraph,
-) -> tuple[Fraction, FractionalMatching]:
-    """Exact LP route: the capacity program under unit vertex budgets."""
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact LP route: the capacity program under unit vertex budgets. Returns
+    m_f and a maximizer, one value per edge in edge order."""
     if not graph.has_unit_capacities():
         raise ValueError("fractional matching requires unit capacities")
     out = solve_max(allocation_program(graph))
     if out.status != "optimal":  # always feasible (0) and bounded
         raise RuntimeError(f"fractional matching LP is {out.status}")
-    return out.value, FractionalMatching(out.assignment)
+    return out.value, out.assignment
 
 
 def fractional_matching_oracle(graph: ServiceGraph) -> Fraction:

@@ -43,10 +43,14 @@ DemandVector = tuple[Fraction, ...]
 PROJECTION_K_CAP = 3
 
 
-def as_demand(values: Sequence[int | float | str | Fraction], k: int) -> DemandVector:
-    """Coerce to a length-k tuple of nonnegative Fractions."""
+def as_demand(values: Sequence[int | str | Fraction], k: int) -> DemandVector:
+    """Coerce to a length-k tuple of nonnegative Fractions. Floats and bools
+    are refused: a float is not the rational it prints as."""
     if len(values) != k:
         raise ValueError(f"demand vector has length {len(values)}, expected {k}")
+    for i, v in enumerate(values, start=1):
+        if isinstance(v, (bool, float)):
+            raise ValueError(f"demand entry {i} is {v!r}, not an exact rational")
     out = tuple(Fraction(v) for v in values)
     if any(x < 0 for x in out):
         raise ValueError("demands must be nonnegative")
@@ -70,9 +74,6 @@ class Allocation(NamedTuple):
             out.append(tuple(Fraction(v) for v in flat[pos : pos + count]))
             pos += count
         return cls(tuple(out))
-
-    def flat(self) -> tuple[Fraction, ...]:
-        return tuple(v for row in self.per_file for v in row)
 
     def demand(self) -> DemandVector:
         return tuple(sum(row, Fraction(0)) for row in self.per_file)
@@ -174,9 +175,6 @@ class HalfSpace(NamedTuple):
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
 
-    def holds(self, point: Sequence[Fraction]) -> bool:
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0)) <= self.rhs
-
 
 class RegionHRep(NamedTuple):
     """The region as half-spaces over demand space (nonnegativity implied),
@@ -185,14 +183,6 @@ class RegionHRep(NamedTuple):
     k: int
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[DemandVector, ...]
-
-    def contains(self, lam: Sequence) -> bool:
-        if len(lam) != self.k:
-            raise ValueError(f"demand vector has length {len(lam)}, expected {self.k}")
-        point = tuple(Fraction(v) for v in lam)
-        if any(x < 0 for x in point):
-            return False
-        return all(h.holds(point) for h in self.halfspaces)
 
 
 _Row = tuple[tuple[Fraction, ...], Fraction]

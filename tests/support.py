@@ -14,6 +14,7 @@ from itertools import combinations, product
 from servicerate.codes import GeneratorMatrix, RecoverySet, RecoverySetCatalog
 from servicerate.graphrep import Edge, ServiceGraph, Vertex
 from servicerate.lp import LE, LinearProgram
+from servicerate.region import RegionHRep
 
 CORPUS_SEED = 20260814
 
@@ -196,9 +197,36 @@ def random_fractional_matching(graph: ServiceGraph, rng: random.Random) -> list[
     return values
 
 
+def check_fractional_matching(graph: ServiceGraph, values) -> Fraction:
+    """Check one value in [0, 1] per edge with every vertex load at most 1,
+    raising ValueError otherwise; return the total."""
+    if len(values) != graph.edge_count:
+        raise ValueError("one value per edge required")
+    if any(x < 0 or x > 1 for x in values):
+        raise ValueError("edge values must lie in [0, 1]")
+    for vid in graph.vertex_ids():
+        load = sum((values[i] for i in graph.incident_edges(vid)), Fraction(0))
+        if load > 1:
+            raise ValueError(f"vertex {vid} is overloaded: {load}")
+    return sum(values, Fraction(0))
+
+
+def region_contains(hrep: RegionHRep, lam) -> bool:
+    """Whether lam >= 0 satisfies every half-space of the projected region."""
+    if len(lam) != hrep.k:
+        raise ValueError(f"demand vector has length {len(lam)}, expected {hrep.k}")
+    point = tuple(Fraction(v) for v in lam)
+    if any(x < 0 for x in point):
+        return False
+    return all(
+        sum((c * x for c, x in zip(h.coeffs, point)), Fraction(0)) <= h.rhs
+        for h in hrep.halfspaces
+    )
+
+
 def _server_members(catalog: RecoverySetCatalog) -> list[list[int]]:
     rows: list[list[int]] = [[] for _ in range(catalog.n)]
-    for idx, rs in enumerate(catalog.flat()):
+    for idx, rs in enumerate(rs for sets in catalog.per_file for rs in sets):
         for s in rs.servers:
             rows[s - 1].append(idx)
     return rows

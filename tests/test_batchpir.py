@@ -128,7 +128,7 @@ def test_pir_matches_brute_force_packing():
             continue
         report = pir_t(cat)
         for f in range(1, cat.k + 1):
-            want = support.brute_force_max_disjoint_sets(cat.sets_for(f))
+            want = support.brute_force_max_disjoint_sets(cat.per_file[f - 1])
             assert report.per_file[f - 1] == want, (g, f)
 
 

@@ -17,7 +17,11 @@ from servicerate.codes import (
 
 
 def _servers(catalog, file):
-    return [rs.servers for rs in catalog.sets_for(file)]
+    return [rs.servers for rs in catalog.per_file[file - 1]]
+
+
+def _all_sets(catalog):
+    return [rs for sets in catalog.per_file for rs in sets]
 
 
 def test_matrix_validation():
@@ -66,7 +70,7 @@ def test_simplex3_recovery_sets():
 def test_ordering_singletons_then_pairs_lex():
     cat = enumerate_recovery_sets(simplex_code(3))
     for file in (1, 2, 3):
-        sets = cat.sets_for(file)
+        sets = cat.per_file[file - 1]
         sizes = [rs.size for rs in sets]
         assert sizes == sorted(sizes)
         pairs = [rs.servers for rs in sets if rs.size == 2]
@@ -76,7 +80,7 @@ def test_ordering_singletons_then_pairs_lex():
 def test_zero_columns_never_appear():
     g = GeneratorMatrix(2, [[1, 0, 1], [0, 0, 1]])
     cat = enumerate_recovery_sets(g)
-    for rs in cat.flat():
+    for rs in _all_sets(cat):
         assert 2 not in rs.servers
 
 
@@ -89,7 +93,7 @@ def _wide_codes() -> list[GeneratorMatrix]:
 def test_coefficients_recompute_to_unit_vectors():
     for g in support.corpus(40) + _wide_codes():
         cat = enumerate_recovery_sets(g)
-        for rs in cat.flat():
+        for rs in _all_sets(cat):
             assert all(type(c) is int and 0 < c < g.q for c in rs.coefficients)
             assert support.evaluate(g, rs) == support.unit_vector(g.k, rs.file)
 
@@ -101,16 +105,16 @@ def test_one_set_per_server_subset():
     cat = enumerate_recovery_sets(g)
     assert _servers(cat, 1) == [(1,), (2,), (1, 2)]
     # the scan runs a, then alpha, then beta upward: 2*(1,0) + 2*(2,0) = e_1
-    assert [rs.coefficients for rs in cat.sets_for(1)] == [(1,), (3,), (2, 2)]
+    assert [rs.coefficients for rs in cat.per_file[0]] == [(1,), (3,), (2, 2)]
     for file in (1, 2):
-        seen = [rs.servers for rs in cat.sets_for(file)]
+        seen = [rs.servers for rs in cat.per_file[file - 1]]
         assert len(seen) == len(set(seen))
 
 
 def test_enumeration_matches_brute_force_on_corpus():
     for g in support.corpus(120) + _wide_codes():
         cat = enumerate_recovery_sets(g)
-        lib = {(rs.file, rs.servers) for rs in cat.flat()}
+        lib = {(rs.file, rs.servers) for rs in _all_sets(cat)}
         assert lib == support.brute_force_recovery_sets(g)
 
 
@@ -133,7 +137,7 @@ def test_simplex_each_file_has_half_order_sets():
     for k in (2, 3, 4):
         cat = enumerate_recovery_sets(simplex_code(k))
         for file in range(1, k + 1):
-            sets = cat.sets_for(file)
+            sets = cat.per_file[file - 1]
             assert len(sets) == 2 ** (k - 1)
             covered = [s for rs in sets for s in rs.servers]
             assert sorted(covered) == list(range(1, 2**k))

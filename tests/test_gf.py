@@ -44,7 +44,7 @@ def test_inverse():
     # a lone nonzero entry x recovers the file with coefficient x^-1 mod q
     for q in (2, 3, 5, 11):
         for x in range(1, q):
-            (rs,) = enumerate_recovery_sets(GeneratorMatrix(q, [[x]])).sets_for(1)
+            (rs,) = enumerate_recovery_sets(GeneratorMatrix(q, [[x]])).per_file[0]
             assert rs.coefficients[0] * x % q == 1
     # zero has no inverse, so a zero entry recovers nothing
     assert enumerate_recovery_sets(GeneratorMatrix(7, [[0]])).counts == (0,)

@@ -63,3 +63,20 @@ def test_cli_import_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_submodule_import_loads_only_its_dependencies():
+    # the package __init__ re-exports nothing, so importing one submodule
+    # loads only its own imports: codes needs no LP, region or fractions
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import servicerate.codes; "
+        "print(*(m for m in ('servicerate.lp', 'servicerate.region', "
+        "'servicerate.batchpir', 'fractions') if m in sys.modules))"
+    )
+    src = Path(servicerate.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

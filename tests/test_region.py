@@ -49,11 +49,26 @@ def test_as_demand():
         as_demand([-1, 0, 0], 3)
 
 
+def test_floats_and_bools_are_refused():
+    # a float is not the rational it prints as, and a bool is no demand or
+    # capacity at all: both are refused with the offending entry named
+    for bad in (0.1, float("inf"), True):
+        with pytest.raises(ValueError, match=f"demand entry 1 is {bad!r}"):
+            as_demand([bad, 1, 1], 3)
+        with pytest.raises(ValueError, match="demand entry 2"):
+            membership(_simplex3(), (1, bad, 1))
+        with pytest.raises(ValueError, match=f"capacity entry 7 is {bad!r}"):
+            capacity(_simplex3(), [1] * 6 + [bad])
+        with pytest.raises(ValueError, match="capacity entry 1"):
+            build_graph(_identity2(), [bad, 1])
+    assert as_demand([F(1, 10), "0.1", 0], 3) == (F(1, 10), F(1, 10), F(0))
+
+
 def test_allocation_round_trip():
     cat = _simplex3()
     flat = [F(i, 4) for i in range(cat.total_sets)]
     alloc = Allocation.from_flat(cat, flat)
-    assert alloc.flat() == tuple(flat)
+    assert [v for row in alloc.per_file for v in row] == flat
     lam = alloc.demand()
     assert lam[0] == sum(flat[:4])
 
@@ -82,10 +97,11 @@ def test_membership_witness_is_feasible():
         # witness serves exactly lam and respects unit budgets
         assert w.demand() == lam
         loads = [F(0)] * cat.n
-        for value, rs in zip(w.flat(), cat.flat()):
-            assert value >= 0
-            for s in rs.servers:
-                loads[s - 1] += value
+        for row, sets in zip(w.per_file, cat.per_file):
+            for value, rs in zip(row, sets):
+                assert value >= 0
+                for s in rs.servers:
+                    loads[s - 1] += value
         assert all(load <= 1 for load in loads)
 
 
@@ -208,10 +224,10 @@ def test_project_region_simplex3():
         (F(0), F(4), F(0)),
         (F(4), F(0), F(0)),
     )
-    assert region.contains((2, 1, 1))
-    assert region.contains(("1/3", "2/3", 3))
-    assert not region.contains((3, 1, "1/2"))
-    assert not region.contains((-1, 0, 0))
+    assert support.region_contains(region, (2, 1, 1))
+    assert support.region_contains(region, ("1/3", "2/3", 3))
+    assert not support.region_contains(region, (3, 1, "1/2"))
+    assert not support.region_contains(region, (-1, 0, 0))
 
 
 def test_project_region_identity_box():
@@ -235,7 +251,7 @@ def test_project_region_triangle():
         for b in range(0, 4):
             for c in range(0, 4):
                 lam = (F(a, 2), F(b, 2), F(c, 2))
-                assert region.contains(lam) == (membership(_triangle(), lam) is not None)
+                assert support.region_contains(region, lam) == (membership(_triangle(), lam) is not None)
 
 
 def test_project_region_agrees_with_membership_on_corpus():
@@ -265,7 +281,7 @@ def test_project_region_agrees_with_membership_on_corpus():
                 assert membership(cat, beyond, mu) is None, (g, mu, h)
             for _ in range(4):
                 lam = tuple(F(rng.randint(0, 4), 2) for _ in range(cat.k))
-                assert region.contains(lam) == (membership(cat, lam, mu) is not None), (g, mu, lam)
+                assert support.region_contains(region, lam) == (membership(cat, lam, mu) is not None), (g, mu, lam)
 
 
 def test_project_region_dead_files_are_canonical():
